@@ -25,7 +25,6 @@ import (
 	"voyager/internal/experiments"
 	"voyager/internal/label"
 	"voyager/internal/metrics"
-	"voyager/internal/tensor"
 	"voyager/internal/tracing"
 )
 
@@ -45,7 +44,6 @@ func main() {
 		benchOut   = flag.String("bench-out", "auto", "bench suite JSON output path (auto: BENCH_pr<latest+1>.json)")
 		benchBase  = flag.String("bench-baseline", "auto", "prior bench JSON to diff against (auto: latest BENCH_pr<N>.json, \"\" disables)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
-		fastMath   = flag.Bool("fastmath", false, "reassociated matmul kernels: faster, float32-rounding-level differences, NOT bit-reproducible across builds")
 
 		metricsOut  = flag.String("metrics", "", "stream NDJSON metric snapshots to this file")
 		metricsHTTP = flag.String("metrics-http", "", "serve /metrics, /trace and /debug/pprof on this address (e.g. localhost:6060)")
@@ -74,7 +72,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid -workers %d (0 or 1 serial, -1 auto, N>1 parallel)\n", *workers)
 		os.Exit(2)
 	}
-	tensor.SetFastMath(*fastMath)
 	// The delta chain baselines each bench report against the latest prior
 	// one by number, so PR numbering gaps (a PR that didn't re-bench) don't
 	// point a report at a nonexistent file.

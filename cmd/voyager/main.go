@@ -24,7 +24,6 @@ import (
 	"voyager/internal/metrics"
 	"voyager/internal/prefetch/distilled"
 	"voyager/internal/sim"
-	"voyager/internal/tensor"
 	"voyager/internal/trace"
 	"voyager/internal/tracing"
 	"voyager/internal/voyager"
@@ -83,7 +82,6 @@ func main() {
 		saveFile  = flag.String("save", "", "write trained weights to this file")
 		distOut   = flag.String("distill", "", "compile the trained model into a distilled lookup table (calibrated on the first half) and save it to this file")
 		distPred  = flag.Bool("distilled-predict", false, "also replay the distilled table online: unified metric, fallback-tier shares, and a simulator run")
-		fastMath  = flag.Bool("fastmath", false, "reassociated matmul kernels: faster, float32-rounding-level differences, NOT bit-reproducible across builds")
 		quantPred = flag.Bool("quant-predict", false, "int8 weight-quantized output heads for prediction (training stays fp32)")
 
 		metricsOut  = flag.String("metrics", "", "stream NDJSON metric snapshots to this file")
@@ -101,7 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "voyager: -trace-clock must be wall or logical, got %q\n", *traceClock)
 		os.Exit(2)
 	}
-	tensor.SetFastMath(*fastMath)
 
 	var tr *trace.Trace
 	var err error

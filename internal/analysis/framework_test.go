@@ -86,6 +86,26 @@ func TestLoadPatternsSubtreeEmpty(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints: a package that declares a name once per
+// build configuration must load, with only the files go build compiles.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"a/a.go":        "package a\n\nconst fast = true\n",
+		"a/portable.go": "//go:build ignore\n\npackage a\n\nconst fast = false\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadPatterns([]string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(pkgs[0].Files); n != 1 {
+		t.Fatalf("loaded %d files, want 1", n)
+	}
+}
+
 // --- loader error paths ---
 
 func TestLoadMissingPackage(t *testing.T) {

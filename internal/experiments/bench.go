@@ -60,10 +60,6 @@ type BenchReport struct {
 	// ns/op: the cost of the same step with the execution-span tracer
 	// recording (acceptance bound: < 1.05).
 	TraceOverhead float64 `json:"train_trace_overhead,omitempty"`
-	// FastMathMatMulMaxDelta is the largest element-wise |fast - exact|
-	// over the matmul_256 operands: the measured accuracy cost of the
-	// reassociated fast-math kernels (pure float32 rounding noise).
-	FastMathMatMulMaxDelta float64 `json:"fastmath_matmul_max_abs_delta,omitempty"`
 	// QuantMatMulMaxDelta is the largest element-wise |int8 - fp32| over the
 	// same operands: the end-to-end error of the weight-quantized kernel
 	// against unquantized float32.
@@ -112,8 +108,8 @@ type BenchReport struct {
 	// serve.go) and is covered by the serve e2e suite, not this gate.
 	ServeQualityP99Ns    int64   `json:"serve_quality_p99_ns,omitempty"`
 	ServeQualityOverhead float64 `json:"serve_quality_overhead,omitempty"`
-	Baseline     string         `json:"baseline,omitempty"` // path of the compared report
-	Notes        string         `json:"notes,omitempty"`
+	Baseline             string  `json:"baseline,omitempty"` // path of the compared report
+	Notes                string  `json:"notes,omitempty"`
 }
 
 func (r *BenchReport) entry(name string) *BenchEntry {
@@ -145,9 +141,6 @@ func (r *BenchReport) String() string {
 	}
 	if r.TraceOverhead > 0 {
 		fmt.Fprintf(&b, "\n  Trace overhead      %.3fx (train_batch_serial)", r.TraceOverhead)
-	}
-	if r.FastMathMatMulMaxDelta > 0 {
-		fmt.Fprintf(&b, "\n  Fast-math max |Δ|   %.3g (matmul_256)", r.FastMathMatMulMaxDelta)
 	}
 	if r.QuantMatMulMaxDelta > 0 {
 		fmt.Fprintf(&b, "\n  Quant max |Δ|       %.3g (matmul_256_q8 vs fp32)", r.QuantMatMulMaxDelta)
@@ -313,19 +306,6 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 			}
 		}))
 
-	// The opt-in fast-math kernels on the same operands, plus their measured
-	// divergence from the exact result (pure reassociation rounding noise).
-	exact := tensor.MatMul(nil, a, bm)
-	tensor.SetFastMath(true)
-	r.Entries = append(r.Entries, timeIt("matmul_256_fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMul(dst, a, bm)
-		}
-	}))
-	fast := tensor.MatMul(nil, a, bm)
-	tensor.SetFastMath(false)
-	r.FastMathMatMulMaxDelta = maxAbsDelta(fast, exact)
-
 	// The inference-only quantized kernels: int8 with per-column scales and
 	// binary16, with the int8 end-to-end error against unquantized fp32.
 	q8 := quant.QuantizeQ8(bm)
@@ -341,6 +321,7 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 				quant.MatMulF16(dst, a, f16, nil)
 			}
 		}))
+	exact := tensor.MatMul(nil, a, bm)
 	qDst := tensor.NewMat(mdim, mdim)
 	quant.MatMulQ8(qDst, a, q8, nil)
 	r.QuantMatMulMaxDelta = maxAbsDelta(qDst, exact)

@@ -36,7 +36,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		PC: 0x400123, Addr: 0x7fff0040, HasCtx: true, TraceID: 0xdead, SpanID: 0xbeef})
 	f.Add(traced)
 	f.Add(EncodeRequest(nil, Request{Op: OpPing, HasCtx: true})) // zero ids, still v2
-	trunc := append([]byte{}, traced[:4+RequestLen]...) // v2 header, context cut off
+	trunc := append([]byte{}, traced[:4+RequestLen]...)          // v2 header, context cut off
 	binary.BigEndian.PutUint32(trunc, RequestLen)
 	f.Add(trunc)
 	mismatch := append([]byte{}, traced...) // 44-byte frame claiming v1

@@ -86,11 +86,11 @@ func TestConcurrentStreamsUnderContention(t *testing.T) {
 	fixture(t)
 	rec := NewLatencyRecorder(1 << 12)
 	s := startServer(t, Config{
-		Model:       fx.p.Model,
-		Table:       fx.tab,
-		MaxBatch:    8,
-		MaxWait:     100 * time.Microsecond,
-		IdleTimeout: 5 * time.Millisecond, // evict aggressively mid-traffic
+		Model:        fx.p.Model,
+		Table:        fx.tab,
+		MaxBatch:     8,
+		MaxWait:      100 * time.Microsecond,
+		IdleTimeout:  5 * time.Millisecond, // evict aggressively mid-traffic
 		FastLatency:  rec,
 		ModelLatency: NewLatencyRecorder(1 << 12),
 	})

@@ -52,22 +52,22 @@ type serveObs struct {
 
 func newServeObs(reg *metrics.Registry, tr *tracing.Tracer) *serveObs {
 	o := &serveObs{
-		requests:  reg.Counter("serve_requests_total"),
-		modelReqs: reg.Counter("serve_requests_model_total"),
-		fastReqs:  reg.Counter("serve_requests_fast_total"),
-		errors:    reg.Counter("serve_errors_total"),
+		requests:      reg.Counter("serve_requests_total"),
+		modelReqs:     reg.Counter("serve_requests_model_total"),
+		fastReqs:      reg.Counter("serve_requests_fast_total"),
+		errors:        reg.Counter("serve_errors_total"),
 		batches:       reg.Counter("serve_batches_total"),
 		batchRows:     reg.Counter("serve_batch_rows_total"),
 		janitorPasses: reg.Counter("serve_janitor_passes_total"),
 		conns:         reg.Gauge("serve_conns_active"),
 		traceDropped:  reg.Gauge("tracing_dropped_events"),
-		queueWait: reg.Histogram("serve_queue_wait_seconds"),
-		batchFill: reg.Histogram("serve_batch_rows"),
-		reqSec:    reg.Histogram("serve_request_seconds"),
-		fastSec:   reg.Histogram("serve_fast_request_seconds"),
-		tracer:     tr,
-		batchTk:    tr.Track("prefetchd", "batcher"),
-		rpcBatchTk: tr.Track("rpc", "batcher"),
+		queueWait:     reg.Histogram("serve_queue_wait_seconds"),
+		batchFill:     reg.Histogram("serve_batch_rows"),
+		reqSec:        reg.Histogram("serve_request_seconds"),
+		fastSec:       reg.Histogram("serve_fast_request_seconds"),
+		tracer:        tr,
+		batchTk:       tr.Track("prefetchd", "batcher"),
+		rpcBatchTk:    tr.Track("rpc", "batcher"),
 	}
 	for i := range o.tierCounts {
 		o.tierCounts[i] = reg.Counter("serve_fast_tier_" + tierName(i) + "_total")

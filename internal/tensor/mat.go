@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"runtime"
 )
 
 // Mat is a dense, row-major float32 matrix.
@@ -182,8 +182,10 @@ const kernelKTile = 64
 // hold for non-finite and signed-zero inputs too: 0·Inf contributes NaN and
 // -0 terms keep their sign, exactly like a naive triple loop (the former
 // av == 0 skip branches diverged on such inputs; see TestMatMulNonFinite).
-// The opt-in fast-math kernels (fastmath.go) relax only the association
-// order, never the term set.
+// On AVX2 hosts the same kernels run eight output columns per instruction
+// through rowMulAddAVX2 (vec.go), which keeps this contract lane by lane:
+// a multiply then an add per term, never fused, in the same order. Which
+// path ran never shows in the results.
 
 // MatMul computes dst = a·b, allocating dst when nil. a is r×k, b is k×c.
 //
@@ -209,15 +211,20 @@ func MatMul(dst, a, b *Mat) *Mat {
 // rows of b), parallelized across rows of a when the work is large enough.
 func matMulAcc(dst, a, b *Mat) {
 	kern := matMulAccRange
-	if FastMathEnabled() {
-		kern = matMulAccFastRange
+	if useAVX2 {
+		kern = matMulAccVecRange
 	}
-	work := a.Rows * a.Cols * b.Cols
+	runKernel(kern, a.Rows, a.Rows*a.Cols*b.Cols, dst, a, b)
+}
+
+// runKernel runs kern over [0, n) on the calling goroutine when the
+// multiply-accumulate work is below parallelThreshold, else on the pool.
+func runKernel(kern matKernel, n, work int, dst, a, b *Mat) {
 	if work < parallelThreshold {
-		kern(dst, a, b, 0, a.Rows)
+		kern(dst, a, b, 0, n)
 		return
 	}
-	parallelKernel(a.Rows, kern, dst, a, b)
+	parallelKernel(n, kern, dst, a, b)
 }
 
 // matMulAccRange is the exact a·b kernel: per dst row, four b rows are fused
@@ -285,17 +292,14 @@ func MatMulATransB(dst, a, b *Mat) *Mat {
 		dst.Zero()
 	}
 	// dst[k][j] += a[i][k] * b[i][j]; parallelize over columns of a (rows of
-	// dst) so goroutines never write the same dst row.
+	// dst) so goroutines never write the same dst row. On the zeroed dst the
+	// vector kernel's tmp-then-add form gives the same bits: a sum that
+	// starts at +0 is never -0, so +0 + sum == sum.
 	kern := matMulATransBRange
-	if FastMathEnabled() {
-		kern = matMulATransBFastRange
+	if useAVX2 {
+		kern = matMulATransBVecRange
 	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
-		kern(dst, a, b, 0, a.Cols)
-		return dst
-	}
-	parallelKernel(a.Cols, kern, dst, a, b)
+	runKernel(kern, a.Cols, a.Rows*a.Cols*b.Cols, dst, a, b)
 	return dst
 }
 
@@ -369,16 +373,7 @@ func MatMulABTrans(dst, a, b *Mat) *Mat {
 		}
 		dst.Zero()
 	}
-	kern := matMulABTransRange
-	if FastMathEnabled() {
-		kern = matMulABTransFastRange
-	}
-	work := a.Rows * a.Cols * b.Rows
-	if work < parallelThreshold {
-		kern(dst, a, b, 0, a.Rows)
-		return dst
-	}
-	parallelKernel(a.Rows, kern, dst, a, b)
+	matMulABTransAcc(dst, a, b)
 	return dst
 }
 
@@ -395,22 +390,57 @@ func MatMulABTransAcc(dst, a, b *Mat) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulABTransAcc dst shape mismatch")
 	}
-	kern := matMulABTransRange
-	if FastMathEnabled() {
-		kern = matMulABTransFastRange
-	}
-	work := a.Rows * a.Cols * b.Rows
-	if work < parallelThreshold {
-		kern(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelKernel(a.Rows, kern, dst, a, b)
+	matMulABTransAcc(dst, a, b)
 }
 
-// tileScratch recycles the per-goroutine accumulation tiles used by
-// MatMulATransBAcc. The pool holds *[]float32 containers (not bare slices)
-// so Get/Put stay allocation-free in steady state.
-var tileScratch = sync.Pool{New: func() any { s := []float32(nil); return &s }}
+// matMulABTransAcc computes dst += a·bᵀ, parallelized across rows of a. The
+// vector kernel needs b's columns contiguous, so bᵀ is built once per call,
+// before the split, in a scratch matrix from tileScratch.
+func matMulABTransAcc(dst, a, b *Mat) {
+	work := a.Rows * a.Cols * b.Rows
+	if !useAVX2 {
+		runKernel(matMulABTransRange, a.Rows, work, dst, a, b)
+		return
+	}
+	bt := scratchMat(b.Cols, b.Rows)
+	transposeInto(bt, b)
+	runKernel(matMulABTransVecRange, a.Rows, work, dst, a, bt)
+	releaseScratch(bt)
+}
+
+// tileScratch is a free list of scratch matrices: the per-goroutine
+// accumulation tiles of matMulATransBAccRange and the bᵀ copies of
+// matMulABTransAcc. It holds *Mat, so a scratch matrix can be a
+// parallelKernel operand. It is a buffered channel rather than a sync.Pool
+// so steady-state calls allocate nothing in every build; under the race
+// detector a sync.Pool drops a quarter of its Puts. Like poolTasks it holds
+// four entries per P, which covers every chunk of a few concurrent calls;
+// a matrix returned to a full list is left to the GC.
+var tileScratch = make(chan *Mat, 4*runtime.GOMAXPROCS(0))
+
+// scratchMat checks out a rows×cols scratch matrix with undefined contents;
+// return it with releaseScratch.
+func scratchMat(rows, cols int) *Mat {
+	var m *Mat
+	select {
+	case m = <-tileScratch:
+	default:
+		m = new(Mat)
+	}
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float32, rows*cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
+// releaseScratch returns a matrix from scratchMat to tileScratch.
+func releaseScratch(m *Mat) {
+	select {
+	case tileScratch <- m:
+	default:
+	}
+}
 
 // MatMulATransBAcc computes dst += aᵀ·b in place — the weight-gradient
 // update dW += xᵀ·dy. The ATransB kernel accumulates into memory across input
@@ -418,7 +448,8 @@ var tileScratch = sync.Pool{New: func() any { s := []float32(nil); return &s }}
 // into the partial sums and change the float32 result; instead each
 // kernelKTile-row tile accumulates in a pooled scratch buffer (same
 // per-element order as a zeroed tmp) and is added to dst once, keeping the
-// result bit-identical to tmp = aᵀ·b; dst += tmp with zero allocations.
+// result bit-identical to tmp = aᵀ·b; dst += tmp with zero allocations. The
+// vector kernel keeps each element's sum in a register instead of a tile.
 //
 //hot:path
 func MatMulATransBAcc(dst, a, b *Mat) {
@@ -429,15 +460,10 @@ func MatMulATransBAcc(dst, a, b *Mat) {
 		panic("tensor: MatMulATransBAcc dst shape mismatch")
 	}
 	kern := matMulATransBAccRange
-	if FastMathEnabled() {
-		kern = matMulATransBAccFastRange
+	if useAVX2 {
+		kern = matMulATransBVecRange
 	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
-		kern(dst, a, b, 0, a.Cols)
-		return
-	}
-	parallelKernel(a.Cols, kern, dst, a, b)
+	runKernel(kern, a.Cols, a.Rows*a.Cols*b.Cols, dst, a, b)
 }
 
 func matMulATransBAccRange(dst, a, b *Mat, lo, hi int) {
@@ -445,7 +471,8 @@ func matMulATransBAccRange(dst, a, b *Mat, lo, hi int) {
 	if n == 0 {
 		return
 	}
-	sp, scratch := tileScratchFor(hi-lo, n)
+	tm := scratchMat(min(kernelKTile, hi-lo), n)
+	scratch := tm.Data
 	rows := a.Rows
 	for t0 := lo; t0 < hi; t0 += kernelKTile {
 		t1 := t0 + kernelKTile
@@ -499,28 +526,7 @@ func matMulATransBAccRange(dst, a, b *Mat, lo, hi int) {
 			}
 		}
 	}
-	tileScratchDone(sp, scratch)
-}
-
-// tileScratchFor checks out a zero-allocation scratch buffer big enough for
-// a kernelKTile×n accumulation tile over a [lo, hi) stripe of tileRows rows.
-func tileScratchFor(stripe, n int) (*[]float32, []float32) {
-	tileRows := kernelKTile
-	if stripe < tileRows {
-		tileRows = stripe
-	}
-	sp := tileScratch.Get().(*[]float32)
-	scratch := *sp
-	if cap(scratch) < tileRows*n {
-		scratch = make([]float32, tileRows*n)
-	}
-	return sp, scratch
-}
-
-// tileScratchDone returns a buffer checked out by tileScratchFor.
-func tileScratchDone(sp *[]float32, scratch []float32) {
-	*sp = scratch
-	tileScratch.Put(sp)
+	releaseScratch(tm)
 }
 
 // matMulABTransRange computes four dot products per pass of arow (a 1×4

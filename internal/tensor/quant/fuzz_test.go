@@ -94,7 +94,7 @@ func FuzzF16RoundTrip(f *testing.F) {
 	f.Add(uint16(0x7c00), math.Float32bits(float32(math.Inf(1))))
 	f.Add(uint16(0xfc00), math.Float32bits(float32(math.Inf(-1))))
 	f.Add(uint16(0x7e00), math.Float32bits(float32(math.NaN())))
-	f.Add(uint16(0x7c01), uint32(0x7fc00001)) // signaling-ish NaN payloads
+	f.Add(uint16(0x7c01), uint32(0x7fc00001))             // signaling-ish NaN payloads
 	f.Add(uint16(0x0001), math.Float32bits(5.9604645e-8)) // smallest subnormal
 	f.Add(uint16(0x3c00), math.Float32bits(1))
 	f.Add(uint16(0x7bff), math.Float32bits(65504)) // largest finite half

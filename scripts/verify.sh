@@ -12,6 +12,20 @@ cd "$(dirname "$0")/.."
 echo "== go build"
 go build ./...
 
+# The tensor kernels have an amd64 assembly path and a build-tagged
+# portable file; only a cross build compiles the latter on an amd64 host.
+echo "== go build (GOARCH=arm64)"
+GOARCH=arm64 go build ./...
+
+# testdata holds analyzer fixtures: inputs to the analyzers, not code the
+# build compiles.
+echo "== gofmt"
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+  printf 'gofmt: needs formatting:\n%s\n' "$unformatted"
+  exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
