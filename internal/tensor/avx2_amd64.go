@@ -24,6 +24,16 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// useAVX2FMA routes sigmoidRow and tanhRow through the assembly in
+// act_amd64.s: AVX2 as above, plus FMA (CPUID.1:ECX bit 12).
+var useAVX2FMA = useAVX2 && hasFMA()
+
+func hasFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 // rowMulAddAVX2 computes, for j in [0, len(d)) with len(d) a multiple of 8,
 // d[j] += Σ_k a[k·astride]·b[k·ldb+j] over ascending k, one float32
 // multiply and one float32 add per term. fromZero accumulates from +0 and
@@ -33,6 +43,25 @@ func detectAVX2() bool {
 //
 //go:noescape
 func rowMulAddAVX2(d, a, b []float32, kc, astride, ldb int, fromZero bool)
+
+// sigmoidAVX2 sets dst[i] = sigmoid32(src[i]) for i in [0, n) and returns
+// n: the start of the first group of four that holds a NaN or an |x| over
+// 700, or the last multiple of 4 in len(src). len(dst) >= len(src).
+//
+//go:noescape
+func sigmoidAVX2(dst, src []float32) int
+
+// tanhAVX2 is sigmoidAVX2 for tanh32, stopping at a NaN or an |x| over 44.
+//
+//go:noescape
+func tanhAVX2(dst, src []float32) int
+
+// expAVX2 sets dst[i] = exp64(src[i]) for i below the last multiple of 4 in
+// len(src), every src[i] in [-700, 700]. It runs the macro sigmoidAVX2 and
+// tanhAVX2 are built on, so the tests can check it at float64 precision.
+//
+//go:noescape
+func expAVX2(dst, src []float64)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

@@ -5,14 +5,6 @@ import (
 	"math"
 )
 
-func sigmoid32(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-func tanh32(x float32) float32 {
-	return float32(math.Tanh(float64(x)))
-}
-
 // SoftmaxRows computes a row-wise softmax of m into a new matrix, with the
 // usual max-subtraction for numerical stability.
 func SoftmaxRows(m *Mat) *Mat {
@@ -32,7 +24,7 @@ func softmaxRow(dst, src []float32) {
 	}
 	var sum float64
 	for i, v := range src {
-		e := math.Exp(float64(v - mx))
+		e := exp64(float64(v - mx))
 		dst[i] = float32(e)
 		sum += e
 	}
@@ -155,16 +147,15 @@ func (t *Tape) SigmoidBCEWeighted(logits *Node, positives [][]int, weights [][]f
 		lrow := logits.Val.Row(r)
 		setTargets(r)
 		boost := posBoost(len(positives[r]))
+		sigmoidRow(prow, lrow)
 		for c, x := range lrow {
-			p := sigmoid32(x)
-			prow[c] = p
 			// Numerically stable BCE with soft target y:
 			// loss = log(1+e^-|x|) + max(x,0) - x*y.
 			ax := float64(x)
 			if ax < 0 {
 				ax = -ax
 			}
-			l := math.Log1p(math.Exp(-ax))
+			l := math.Log1p(exp64(-ax))
 			if x > 0 {
 				l += float64(x)
 			}

@@ -319,9 +319,7 @@ func (t *Tape) Scale(a *Node, s float32) *Node {
 // Sigmoid returns 1/(1+e^-a) element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node {
 	out := t.getMat(a.Val.Rows, a.Val.Cols, false)
-	for i, v := range a.Val.Data {
-		out.Data[i] = sigmoid32(v)
-	}
+	sigmoidRow(out.Data, a.Val.Data)
 	return t.newNode(out, func(n *Node) {
 		if a.requiresGrad {
 			g := a.ensureGrad()
@@ -336,9 +334,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 // Tanh returns tanh(a) element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
 	out := t.getMat(a.Val.Rows, a.Val.Cols, false)
-	for i, v := range a.Val.Data {
-		out.Data[i] = tanh32(v)
-	}
+	tanhRow(out.Data, a.Val.Data)
 	return t.newNode(out, func(n *Node) {
 		if a.requiresGrad {
 			g := a.ensureGrad()
@@ -445,11 +441,12 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 //	c = f⊙cPrev + i⊙g
 //	h = o⊙tanh(c)
 //
-// in a single pass over the rows, and runs the entire backward in one fused
-// closure. It replaces the 4 SliceCols copies, 4 activation nodes and 3
-// element-wise nodes the unfused formulation records per step; every
-// per-element float32 operation is evaluated in the same order as that node
-// chain, so forward values and gradients are bit-identical to it.
+// row by row, one pass over the row each for the gate activations
+// (sigmoidRow/tanhRow), c, tanh(c) and h, and runs the entire backward in
+// one fused closure. It replaces the 4 SliceCols copies, 4 activation
+// nodes and 3 element-wise nodes the unfused formulation records per step;
+// every per-element float32 operation is evaluated in the same order as
+// that node chain, so forward values and gradients are bit-identical to it.
 //
 // The returned c node carries no backward closure of its own: the next
 // timestep accumulates dL/dc into c.Grad, and h's fused backward — which
@@ -476,17 +473,16 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 		crow := cVal.Row(r)
 		tcrow := tc.Row(r)
 		hrow := hVal.Row(r)
-		for j := 0; j < hd; j++ {
-			iv := sigmoid32(grow[j])
-			fv := sigmoid32(grow[hd+j])
-			gv := tanh32(grow[2*hd+j])
-			ov := sigmoid32(grow[3*hd+j])
-			arow[j], arow[hd+j], arow[2*hd+j], arow[3*hd+j] = iv, fv, gv, ov
-			cv := fv*cprow[j] + iv*gv
-			tcv := tanh32(cv)
-			crow[j] = cv
-			tcrow[j] = tcv
-			hrow[j] = ov * tcv
+		sigmoidRow(arow[:2*hd], grow[:2*hd])
+		tanhRow(arow[2*hd:3*hd], grow[2*hd:3*hd])
+		sigmoidRow(arow[3*hd:], grow[3*hd:])
+		iv, fv, gv, ov := arow[:hd], arow[hd:2*hd], arow[2*hd:3*hd], arow[3*hd:]
+		for j := range crow {
+			crow[j] = fv[j]*cprow[j] + iv[j]*gv[j]
+		}
+		tanhRow(tcrow, crow)
+		for j := range hrow {
+			hrow[j] = ov[j] * tcrow[j]
 		}
 	}
 	c = t.allocNode()

@@ -83,6 +83,18 @@ go test -run 'TestArenaSteadyStateAllocationFree' ./internal/tensor/
 go test -run 'TestHotPathAllocFree' ./internal/metrics/
 go test -run 'TestNilTracerAllocFree' ./internal/tracing/
 
+# The portable path, run rather than only compiled: on 386 the scalar
+# activations and Go kernels take every call, with math.FMA in software.
+echo "== go test (GOARCH=386: tensor, nn)"
+GOARCH=386 go test ./internal/tensor/ ./internal/nn/
+
+# tensor owns its exp (act.go), so no value may move when math.Exp takes
+# its non-FMA amd64 path: the activation tests and the golden constants
+# must hold with GODEBUG turning FMA off for package math.
+echo "== go test (GODEBUG=cpu.fma=off: activations, goldens)"
+GODEBUG=cpu.fma=off go test -count=1 -run 'TestExp64|TestTanh64|TestExpAVX2|TestActivationRows' ./internal/tensor/
+GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenEquivalenceFixedSeed' ./internal/voyager/
+
 echo "== go test -race (tensor, nn, metrics, tracing, voyager, trace, quality)"
 go test -race ./internal/tensor/ ./internal/nn/ ./internal/trace/ ./internal/metrics/ ./internal/tracing/ ./internal/serve/quality/
 # The full voyager suite under -race takes ~10 min of end-to-end training;
