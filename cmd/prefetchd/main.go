@@ -55,7 +55,6 @@ func main() {
 
 		listen    = flag.String("listen", "localhost:7011", "TCP listen address")
 		maxBatch  = flag.Int("max-batch", 32, "max rows coalesced into one PredictBatch call")
-		maxWaitUS = flag.Int("max-wait-us", 200, "max microseconds the batcher waits to fill a batch (0 = greedy)")
 		replicas  = flag.Int("replicas", 1, "data-parallel inference replicas (-1 = all CPUs)")
 		idleEvict = flag.Duration("idle-evict", 2*time.Minute, "evict sessions idle this long (0 = never)")
 
@@ -176,7 +175,6 @@ func main() {
 		Table:       tab,
 		Degree:      *degree,
 		MaxBatch:    *maxBatch,
-		MaxWait:     time.Duration(*maxWaitUS) * time.Microsecond,
 		IdleTimeout: *idleEvict,
 		Metrics:     sink.Registry(),
 		Tracer:      tracer,
@@ -190,8 +188,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "prefetchd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("prefetchd: serving on %s (max-batch %d, max-wait %dµs, degree %d)\n",
-		srv.Addr(), *maxBatch, *maxWaitUS, *degree)
+	fmt.Printf("prefetchd: serving on %s (max-batch %d, degree %d)\n",
+		srv.Addr(), *maxBatch, *degree)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"voyager/internal/distill"
 	"voyager/internal/serve"
@@ -117,7 +116,6 @@ func TestBuildModelAndReplay(t *testing.T) {
 		Table:    tab,
 		Degree:   cfg.Degree,
 		MaxBatch: 8,
-		MaxWait:  100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"voyager/internal/distill"
 	"voyager/internal/metrics"
@@ -41,11 +40,10 @@ import (
 // correctness and its never-blocks-a-handler property are pinned by the
 // serve e2e suite instead.
 const (
-	serveBenchStreams    = 64
-	serveBenchFastReqs   = 1200 // fast-tier requests per stream
-	serveBenchModelReqs  = 30   // model-tier requests per stream
-	serveBenchMaxBatch   = 64
-	serveBenchMaxWaitMus = 200
+	serveBenchStreams   = 64
+	serveBenchFastReqs  = 1200 // fast-tier requests per stream
+	serveBenchModelReqs = 30   // model-tier requests per stream
+	serveBenchMaxBatch  = 64
 )
 
 type serveBenchResult struct {
@@ -70,7 +68,6 @@ func serveBench(m *voyager.Model, tab *distill.Table, tr *trace.Trace) (serveBen
 		Table:        tab,
 		Degree:       1,
 		MaxBatch:     serveBenchMaxBatch,
-		MaxWait:      serveBenchMaxWaitMus * time.Microsecond,
 		Metrics:      reg,
 		FastLatency:  fastRec,
 		ModelLatency: modelRec,
@@ -118,7 +115,6 @@ func serveBench(m *voyager.Model, tab *distill.Table, tr *trace.Trace) (serveBen
 		Table:       tab,
 		Degree:      1,
 		MaxBatch:    serveBenchMaxBatch,
-		MaxWait:     serveBenchMaxWaitMus * time.Microsecond,
 		Metrics:     qreg,
 		FastLatency: qualRec,
 		Quality:     quality.New(quality.Config{Metrics: qreg}),

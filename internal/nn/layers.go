@@ -34,7 +34,8 @@ func (e *Embedding) ShadowClone() *Embedding {
 // Lookup gathers rows ids from the table as a len(ids)×dim node. The
 // backward pass scatter-adds output gradients into the touched rows. The
 // caller must keep ids unchanged until Backward completes (the hot path
-// reuses its id buffers only across batches, never within one).
+// reuses its id buffers only across batches, never within one). On a
+// NoGrad tape the rows are a constant node with no backward closure.
 func (e *Embedding) Lookup(tp *tensor.Tape, ids []int) *tensor.Node {
 	out := tp.NewMat(len(ids), e.Dim)
 	for r, id := range ids {
@@ -42,6 +43,9 @@ func (e *Embedding) Lookup(tp *tensor.Tape, ids []int) *tensor.Node {
 			panic(fmt.Sprintf("nn: embedding %s lookup id %d out of range [0,%d)", e.Table.Name, id, e.Table.W.Rows))
 		}
 		copy(out.Row(r), e.Table.W.Row(id))
+	}
+	if tp.NoGrad {
+		return tp.Const(out)
 	}
 	return tp.Custom(out, true, func(n *tensor.Node) {
 		for r, id := range ids {

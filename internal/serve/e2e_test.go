@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"voyager/internal/prefetch/distilled"
 )
@@ -74,7 +73,6 @@ func TestServingGoldenDifferential(t *testing.T) {
 			s := startServer(t, Config{
 				Model:    model,
 				MaxBatch: 16,
-				MaxWait:  200 * time.Microsecond,
 			})
 			const streams = 4
 			errs := make([]error, streams)

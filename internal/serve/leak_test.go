@@ -24,7 +24,6 @@ func TestStartStopNoGoroutineLeak(t *testing.T) {
 			Model:       fx.p.Model,
 			Table:       fx.tab,
 			MaxBatch:    8,
-			MaxWait:     50 * time.Microsecond,
 			IdleTimeout: 10 * time.Millisecond, // janitor ticks during the cycle
 		})
 		if err != nil {
@@ -89,7 +88,6 @@ func TestConcurrentStreamsUnderContention(t *testing.T) {
 		Model:        fx.p.Model,
 		Table:        fx.tab,
 		MaxBatch:     8,
-		MaxWait:      100 * time.Microsecond,
 		IdleTimeout:  5 * time.Millisecond, // evict aggressively mid-traffic
 		FastLatency:  rec,
 		ModelLatency: NewLatencyRecorder(1 << 12),

@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -178,8 +179,9 @@ func (r *LatencyRecorder) Samples() []int64 {
 	return r.samples[:n]
 }
 
-// Quantile returns the exact q-quantile (nearest-rank) of the retained
-// samples, 0 when empty. Sorts a copy; call after the run.
+// Quantile returns the exact nearest-rank q-quantile of the retained
+// samples — the ceil(q·n)-th smallest — or 0 when empty. Sorts a copy; call
+// after the run.
 func (r *LatencyRecorder) Quantile(q float64) int64 {
 	s := r.Samples()
 	if len(s) == 0 {
@@ -188,7 +190,9 @@ func (r *LatencyRecorder) Quantile(q float64) int64 {
 	cp := make([]int64, len(s))
 	copy(cp, s)
 	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	rank := int(q*float64(len(cp))+0.5) - 1
+	// The 1e-9 keeps a product that should be an integer, such as
+	// 0.07·100 = 7.000000000000001, from taking the next rank.
+	rank := int(math.Ceil(q*float64(len(cp))-1e-9)) - 1
 	if rank < 0 {
 		rank = 0
 	}

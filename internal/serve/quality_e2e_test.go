@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"voyager/internal/metrics"
 	"voyager/internal/prefetch/distilled"
@@ -35,7 +34,6 @@ func TestQualityPerturbsNothing(t *testing.T) {
 	s := startServer(t, Config{
 		Model:    fx.m4,
 		MaxBatch: 16,
-		MaxWait:  200 * time.Microsecond,
 		Metrics:  reg,
 		Quality:  qualityTracker(reg, 4),
 	})

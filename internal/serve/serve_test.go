@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/binary"
+	"math"
 	"net"
 	"path/filepath"
 	"testing"
@@ -250,5 +251,23 @@ func TestLatencyRecorder(t *testing.T) {
 	nilRec.record(1) // nil-safe
 	if nilRec.Count() != 0 || nilRec.Quantile(0.5) != 0 {
 		t.Fatal("nil recorder not inert")
+	}
+}
+
+// TestLatencyRecorderNearestRank: over the samples 1..n the nearest-rank
+// q-quantile is ceil(q·n) itself. Rounding q·n instead gives the 158th of
+// 160 samples for the p99, not the 159th.
+func TestLatencyRecorderNearestRank(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 100, 160, 1000} {
+		r := NewLatencyRecorder(n)
+		for i := n; i >= 1; i-- { // descending, so Quantile must sort
+			r.record(int64(i))
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99, 1} {
+			want := int64(math.Ceil(q * float64(n)))
+			if got := r.Quantile(q); got != want {
+				t.Errorf("n=%d q=%v: Quantile = %d, want %d", n, q, got, want)
+			}
+		}
 	}
 }

@@ -8,10 +8,11 @@
 // session (session.go). Fast-tier requests are answered inline — a hash
 // probe of the distilled table, no queuing. Model-tier requests are posted
 // to an admission queue where a single batcher goroutine coalesces them into
-// PredictBatch calls (batcher.go) of up to MaxBatch rows, each waiting on a
-// MaxWait timer to fill; the model's forward pass is row-independent at
-// inference, so coalescing never changes any stream's answers (the
-// batching-invariance and golden-differential tests pin this).
+// PredictBatch calls (batcher.go) of up to MaxBatch rows: each batch takes
+// the requests already queued and runs at once, with no fill timer; the
+// model's forward pass is row-independent at inference, so coalescing never
+// changes any stream's answers (the batching-invariance and
+// golden-differential tests pin this).
 //
 // Shutdown protocol (the waitleak contract): Close stops the listener, sets
 // an immediate read deadline on every open connection so idle handlers
@@ -56,12 +57,11 @@ type Config struct {
 	// MaxBatch bounds the rows coalesced into one PredictBatch call
 	// (default 32).
 	MaxBatch int
-	// MaxWait is the batcher's timer for filling a batch after its first
-	// request arrives. It is not a bound on the added latency: the batcher
-	// waits it out even when no other request can come, and a timer under
-	// 1 ms can fire only after 1 ms when the process is otherwise idle
-	// (batcher.go). Zero means greedy: take whatever is already queued and
-	// run.
+	// MaxWait was the batcher's timer for filling a batch.
+	//
+	// Deprecated: ignored. The batcher never waits for rows that are not
+	// queued yet: it runs each batch with the requests already queued
+	// (batcher.go).
 	MaxWait time.Duration
 	// QueueDepth is the admission-queue capacity (default 4x MaxBatch).
 	QueueDepth int

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -67,6 +68,62 @@ func TestArenaSteadyStateAllocationFree(t *testing.T) {
 	// closures plus ConcatCols' parents copy; allow a little slack.
 	if allocs := testing.AllocsPerRun(10, step); allocs > 8 {
 		t.Fatalf("steady-state tape step allocates %v times, want ≤8 (closures only)", allocs)
+	}
+}
+
+// On a NoGrad tape every op checks its inputs before building a backward
+// closure, so a warm forward pass through all of them allocates nothing and
+// records nothing, yet computes the same bits as a training tape. Reset
+// turns the tape back into a training tape.
+func TestNoGradTapeAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := randMat(rng, 4, 8)
+	w := randMat(rng, 8, 8)
+	bias := randMat(rng, 1, 8)
+	mask := randMat(rng, 4, 8)
+	targets := []int{0, 3, 5, 7}
+	tp := NewTape()
+	var outs [6]*Node
+	forward := func(noGrad bool) {
+		tp.Reset()
+		tp.NoGrad = noGrad
+		y := tp.AddBias(tp.MatMul(tp.Const(x), tp.Param(w)), tp.Param(bias))
+		y = tp.Add(tp.Mul(tp.Sigmoid(y), tp.Tanh(y)), tp.ReLU(tp.Scale(y, 0.5)))
+		y = tp.DropoutMask(y, mask)
+		h, c := tp.LSTMCell(tp.ConcatCols(y, y, y, y), y)
+		att, _ := tp.MoEAttention(tp.SliceCols(h, 0, 2), c, 0.5)
+		ce, _ := tp.SoftmaxCrossEntropy(y, targets)
+		outs = [6]*Node{h, c, att, tp.MeanAll(att), tp.SumAll(c), ce}
+	}
+
+	forward(false)
+	if tp.Len() == 0 {
+		t.Fatal("training tape recorded nothing")
+	}
+	var want [6][]float32
+	for i, n := range outs {
+		want[i] = append([]float32(nil), n.Val.Data...)
+	}
+	forward(true)
+	for i, n := range outs {
+		if n.RequiresGrad() {
+			t.Fatalf("output %d requires grad on a NoGrad tape", i)
+		}
+		for j, v := range n.Val.Data {
+			if math.Float32bits(v) != math.Float32bits(want[i][j]) {
+				t.Fatalf("output %d element %d: NoGrad %v, training tape %v", i, j, v, want[i][j])
+			}
+		}
+	}
+	if tp.Len() != 0 {
+		t.Fatalf("NoGrad tape recorded %d nodes, want 0", tp.Len())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { forward(true) }); allocs != 0 {
+		t.Fatalf("warm NoGrad forward allocates %v times, want 0", allocs)
+	}
+	tp.Reset()
+	if tp.NoGrad || !tp.Param(w).RequiresGrad() {
+		t.Fatal("Reset did not clear NoGrad")
 	}
 }
 

@@ -59,10 +59,10 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, targets []int) (*Node, *Mat) {
 	}
 	n := float32(len(targets))
 	loss.Data[0] = float32(total) / n
-	out := t.newNode(loss, func(nd *Node) {
-		if !logits.requiresGrad {
-			return
-		}
+	if !logits.requiresGrad {
+		return t.Const(loss), probs
+	}
+	out := t.record(loss, func(nd *Node) {
 		g := logits.ensureGrad()
 		scale := nd.Grad.Data[0] / n
 		for r := 0; r < probs.Rows; r++ {
@@ -77,7 +77,7 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, targets []int) (*Node, *Mat) {
 				grow[c] += scale * d
 			}
 		}
-	}, logits)
+	})
 	return out, probs
 }
 
@@ -170,10 +170,10 @@ func (t *Tape) SigmoidBCEWeighted(logits *Node, positives [][]int, weights [][]f
 	n := float32(rows * cols)
 	loss := t.getMat(1, 1, false)
 	loss.Data[0] = float32(total) / n
-	out := t.newNode(loss, func(nd *Node) {
-		if !logits.requiresGrad {
-			return
-		}
+	if !logits.requiresGrad {
+		return t.Const(loss), probs
+	}
+	out := t.record(loss, func(nd *Node) {
 		g := logits.ensureGrad()
 		scale := nd.Grad.Data[0] / n
 		for r := 0; r < rows; r++ {
@@ -190,7 +190,7 @@ func (t *Tape) SigmoidBCEWeighted(logits *Node, positives [][]int, weights [][]f
 			}
 			clearTargets(r)
 		}
-	}, logits)
+	})
 	return out, probs
 }
 
@@ -238,7 +238,10 @@ func (t *Tape) MoEAttention(query, experts *Node, scale float32) (*Node, *Mat) {
 			}
 		}
 	}
-	node := t.newNode(out, func(nd *Node) {
+	if !query.requiresGrad && !experts.requiresGrad {
+		return t.Const(out), weights
+	}
+	node := t.record(out, func(nd *Node) {
 		// Let a = softmax(f·q·kᵀ), out = Σ_s a_s k_s.
 		// dL/dk_s = a_s·dout + (dL/da_s)·(softmax jac)·f·q
 		// dL/dq   = Σ_s (dL/dscore_s)·f·k_s
@@ -294,6 +297,6 @@ func (t *Tape) MoEAttention(query, experts *Node, scale float32) (*Node, *Mat) {
 				}
 			}
 		}
-	}, query, experts)
+	})
 	return node, weights
 }

@@ -62,6 +62,12 @@ type Tape struct {
 	// default) keeps the tape silent — a nil track's methods are no-ops.
 	Track *tracing.Track
 
+	// NoGrad makes this an inference tape until the next Reset: Param binds
+	// weights as leaves that need no gradient, so no op builds a backward
+	// closure, pre-allocates a gradient buffer or records a node. Forward
+	// values come from the same code either way.
+	NoGrad bool
+
 	// Node arena: fixed-size chunks with a cursor, rewound on Reset.
 	blocks  [][]Node
 	nodeCur int
@@ -75,11 +81,12 @@ type Tape struct {
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// Reset discards all recorded operations and recycles every arena matrix
-// handed out since the previous Reset, retaining capacity. Nodes and
-// matrices obtained from this tape must not be used after Reset.
+// Reset discards all recorded operations, clears NoGrad and recycles every
+// arena matrix handed out since the previous Reset, retaining capacity.
+// Nodes and matrices obtained from this tape must not be used after Reset.
 func (t *Tape) Reset() {
 	t.nodes = t.nodes[:0]
+	t.NoGrad = false
 	t.nodeCur = 0
 	if len(t.used) > 0 && t.free == nil {
 		t.free = make(map[int][]*Mat)
@@ -142,29 +149,23 @@ func (t *Tape) Leaf(m *Mat, requiresGrad bool) *Node {
 	return n
 }
 
-// Param is shorthand for Leaf(m, true).
-func (t *Tape) Param(m *Mat) *Node { return t.Leaf(m, true) }
+// Param is shorthand for Leaf(m, true), or Leaf(m, false) on a NoGrad tape.
+func (t *Tape) Param(m *Mat) *Node { return t.Leaf(m, !t.NoGrad) }
 
 // Const is shorthand for Leaf(m, false).
 func (t *Tape) Const(m *Mat) *Node { return t.Leaf(m, false) }
 
-// newNode records an operation output whose gradient is needed if any parent
-// requires gradients.
-func (t *Tape) newNode(val *Mat, back func(n *Node), parents ...*Node) *Node {
-	req := false
-	for _, p := range parents {
-		if p != nil && p.requiresGrad {
-			req = true
-			break
-		}
-	}
+// record appends an op output that needs a gradient, with the closure that
+// propagates it. An op whose inputs need no gradient returns an unrecorded
+// Const instead, and checks that before building its closure: a func
+// literal passed as an argument is heap-allocated even if the callee drops
+// it.
+func (t *Tape) record(val *Mat, back func(n *Node)) *Node {
 	n := t.allocNode()
 	n.Val = val
-	n.requiresGrad = req
-	if req && back != nil {
-		n.back = back
-		t.nodes = append(t.nodes, n)
-	}
+	n.requiresGrad = true
+	n.back = back
+	t.nodes = append(t.nodes, n)
 	return n
 }
 
@@ -220,14 +221,17 @@ func (t *Tape) Custom(val *Mat, requiresGrad bool, back func(out *Node)) *Node {
 func (t *Tape) MatMul(a, b *Node) *Node {
 	out := t.getMat(a.Val.Rows, b.Val.Cols, false)
 	MatMul(out, a.Val, b.Val)
-	return t.newNode(out, func(n *Node) {
+	if !a.requiresGrad && !b.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
 		if a.requiresGrad {
 			MatMulABTransAcc(a.ensureGrad(), n.Grad, b.Val)
 		}
 		if b.requiresGrad {
 			MatMulATransBAcc(b.ensureGrad(), a.Val, n.Grad)
 		}
-	}, a, b)
+	})
 }
 
 // Add returns a+b element-wise; shapes must match.
@@ -238,14 +242,17 @@ func (t *Tape) Add(a, b *Node) *Node {
 	out := t.getMat(a.Val.Rows, a.Val.Cols, false)
 	copy(out.Data, a.Val.Data)
 	out.AddInPlace(b.Val)
-	return t.newNode(out, func(n *Node) {
+	if !a.requiresGrad && !b.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
 		if a.requiresGrad {
 			a.ensureGrad().AddInPlace(n.Grad)
 		}
 		if b.requiresGrad {
 			b.ensureGrad().AddInPlace(n.Grad)
 		}
-	}, a, b)
+	})
 }
 
 // AddBias returns a + bias broadcast across rows; bias must be 1×cols.
@@ -262,7 +269,10 @@ func (t *Tape) AddBias(a, bias *Node) *Node {
 			row[c] += v
 		}
 	}
-	return t.newNode(out, func(n *Node) {
+	if !a.requiresGrad && !bias.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
 		if a.requiresGrad {
 			a.ensureGrad().AddInPlace(n.Grad)
 		}
@@ -275,7 +285,7 @@ func (t *Tape) AddBias(a, bias *Node) *Node {
 				}
 			}
 		}
-	}, a, bias)
+	})
 }
 
 // Mul returns a⊙b (element-wise product); shapes must match.
@@ -287,7 +297,10 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	for i, v := range a.Val.Data {
 		out.Data[i] = v * b.Val.Data[i]
 	}
-	return t.newNode(out, func(n *Node) {
+	if !a.requiresGrad && !b.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
 		if a.requiresGrad {
 			g := a.ensureGrad()
 			for i, gv := range n.Grad.Data {
@@ -300,7 +313,7 @@ func (t *Tape) Mul(a, b *Node) *Node {
 				g.Data[i] += gv * a.Val.Data[i]
 			}
 		}
-	}, a, b)
+	})
 }
 
 // Scale returns s*a.
@@ -309,41 +322,44 @@ func (t *Tape) Scale(a *Node, s float32) *Node {
 	for i, v := range a.Val.Data {
 		out.Data[i] = v * s
 	}
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			a.ensureGrad().AxpyInPlace(s, n.Grad)
-		}
-	}, a)
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		a.ensureGrad().AxpyInPlace(s, n.Grad)
+	})
 }
 
 // Sigmoid returns 1/(1+e^-a) element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node {
 	out := t.getMat(a.Val.Rows, a.Val.Cols, false)
 	sigmoidRow(out.Data, a.Val.Data)
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, gv := range n.Grad.Data {
-				y := n.Val.Data[i]
-				g.Data[i] += gv * y * (1 - y)
-			}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		for i, gv := range n.Grad.Data {
+			y := n.Val.Data[i]
+			g.Data[i] += gv * y * (1 - y)
 		}
-	}, a)
+	})
 }
 
 // Tanh returns tanh(a) element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
 	out := t.getMat(a.Val.Rows, a.Val.Cols, false)
 	tanhRow(out.Data, a.Val.Data)
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, gv := range n.Grad.Data {
-				y := n.Val.Data[i]
-				g.Data[i] += gv * (1 - y*y)
-			}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		for i, gv := range n.Grad.Data {
+			y := n.Val.Data[i]
+			g.Data[i] += gv * (1 - y*y)
 		}
-	}, a)
+	})
 }
 
 // ReLU returns max(0, a) element-wise.
@@ -356,16 +372,17 @@ func (t *Tape) ReLU(a *Node) *Node {
 			out.Data[i] = 0
 		}
 	}
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, gv := range n.Grad.Data {
-				if a.Val.Data[i] > 0 {
-					g.Data[i] += gv
-				}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		for i, gv := range n.Grad.Data {
+			if a.Val.Data[i] > 0 {
+				g.Data[i] += gv
 			}
 		}
-	}, a)
+	})
 }
 
 // ConcatCols concatenates nodes column-wise; all inputs must share a row
@@ -391,8 +408,15 @@ func (t *Tape) ConcatCols(nodes ...*Node) *Node {
 		}
 		off += c
 	}
+	req := false
+	for _, nd := range nodes {
+		req = req || nd.requiresGrad
+	}
+	if !req {
+		return t.Const(out)
+	}
 	parents := append([]*Node(nil), nodes...)
-	return t.newNode(out, func(n *Node) {
+	return t.record(out, func(n *Node) {
 		off := 0
 		for _, nd := range parents {
 			c := nd.Val.Cols
@@ -408,7 +432,7 @@ func (t *Tape) ConcatCols(nodes ...*Node) *Node {
 			}
 			off += c
 		}
-	}, parents...)
+	})
 }
 
 // SliceCols returns columns [lo, hi) of a as a new node.
@@ -420,17 +444,18 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 	for r := 0; r < a.Val.Rows; r++ {
 		copy(out.Row(r), a.Val.Row(r)[lo:hi])
 	}
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for r := 0; r < a.Val.Rows; r++ {
-				grow := g.Row(r)[lo:hi]
-				for i, v := range n.Grad.Row(r) {
-					grow[i] += v
-				}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		for r := 0; r < a.Val.Rows; r++ {
+			grow := g.Row(r)[lo:hi]
+			for i, v := range n.Grad.Row(r) {
+				grow[i] += v
 			}
 		}
-	}, a)
+	})
 }
 
 // LSTMCell is the fused LSTM cell update: given the pre-activation gate
@@ -452,7 +477,8 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 // timestep accumulates dL/dc into c.Grad, and h's fused backward — which
 // runs before anything recorded earlier — folds it in. Both h and c have
 // their gradient buffers pre-allocated when gradients are required, so the
-// fused backward never sees a nil input.
+// fused backward never sees a nil input. When neither input needs a
+// gradient, h and c are unrecorded constants.
 func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 	hd := cPrev.Val.Cols
 	batch := cPrev.Val.Rows
@@ -485,12 +511,18 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 			hrow[j] = ov[j] * tcrow[j]
 		}
 	}
-	c = t.allocNode()
-	c.Val = cVal
-	c.requiresGrad = gates.requiresGrad || cPrev.requiresGrad
-	h = t.newNode(hVal, func(n *Node) {
+	if !gates.requiresGrad && !cPrev.requiresGrad {
+		return t.Const(hVal), t.Const(cVal)
+	}
+	// cn, not the named result c, is what the closure captures: a result
+	// variable captured by an escaping closure moves to the heap on every
+	// call, including the early return above.
+	cn := t.allocNode()
+	cn.Val = cVal
+	cn.requiresGrad = true
+	h = t.record(hVal, func(n *Node) {
 		dh := n.Grad
-		dc := c.Grad
+		dc := cn.Grad
 		var gg, cpg *Mat
 		if gates.requiresGrad {
 			gg = gates.ensureGrad()
@@ -535,15 +567,13 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 				}
 			}
 		}
-	}, gates, cPrev)
-	if h.requiresGrad {
-		// Pre-allocate both output gradients (zeroed, like the lazily
-		// ensured buffers of the unfused chain) so the fused backward can
-		// read dc unconditionally even when the last timestep's c is unused.
-		h.ensureGrad()
-		c.ensureGrad()
-	}
-	return h, c
+	})
+	// Pre-allocate both output gradients (zeroed, like the lazily ensured
+	// buffers of the unfused chain) so the fused backward can read dc
+	// unconditionally even when the last timestep's c is unused.
+	h.ensureGrad()
+	cn.ensureGrad()
+	return h, cn
 }
 
 // DropoutMask applies a precomputed inverted-dropout mask (entries are 0 or
@@ -557,14 +587,15 @@ func (t *Tape) DropoutMask(a *Node, mask *Mat) *Node {
 	for i, v := range a.Val.Data {
 		out.Data[i] = v * mask.Data[i]
 	}
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, gv := range n.Grad.Data {
-				g.Data[i] += gv * mask.Data[i]
-			}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		for i, gv := range n.Grad.Data {
+			g.Data[i] += gv * mask.Data[i]
 		}
-	}, a)
+	})
 }
 
 // MeanAll returns the scalar mean of all elements (1×1 node).
@@ -576,15 +607,16 @@ func (t *Tape) MeanAll(a *Node) *Node {
 	}
 	cnt := float32(len(a.Val.Data))
 	out.Data[0] = float32(s) / cnt
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			gv := n.Grad.Data[0] / cnt
-			for i := range g.Data {
-				g.Data[i] += gv
-			}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		gv := n.Grad.Data[0] / cnt
+		for i := range g.Data {
+			g.Data[i] += gv
 		}
-	}, a)
+	})
 }
 
 // SumAll returns the scalar sum of all elements (1×1 node).
@@ -595,13 +627,14 @@ func (t *Tape) SumAll(a *Node) *Node {
 		s += float64(v)
 	}
 	out.Data[0] = float32(s)
-	return t.newNode(out, func(n *Node) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			gv := n.Grad.Data[0]
-			for i := range g.Data {
-				g.Data[i] += gv
-			}
+	if !a.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		g := a.ensureGrad()
+		gv := n.Grad.Data[0]
+		for i := range g.Data {
+			g.Data[i] += gv
 		}
-	}, a)
+	})
 }

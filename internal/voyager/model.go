@@ -454,6 +454,7 @@ func (m *Model) predictShard(seqs []batchToken, degree int) [][]Candidate {
 	defer sp.End()
 	tp := m.tape
 	tp.Reset()
+	tp.NoGrad = true
 	ph, oh := m.hidden(tp, seqs, false)
 	var pageLogits, offLogits *tensor.Node
 	if m.cfg.QuantizedPredict {

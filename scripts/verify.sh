@@ -105,9 +105,9 @@ go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith' ./internal/v
 # batcher, the session table under contention with the eviction janitor,
 # and the 100x start/stop goroutine-leak cycle. The golden differentials
 # re-train the fixture under -race (slow), so race-check the contention,
-# leak, and batching-invariance tests specifically.
-echo "== go test -race (serve: contention, leaks, batching invariance)"
-go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent' ./internal/serve/
+# leak, batching-invariance and batcher-policy tests specifically.
+echo "== go test -race (serve: contention, leaks, batching invariance, batcher)"
+go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent|Batcher' ./internal/serve/
 
 echo "== fuzz trace.Read + metrics.ParseSnapshot + quant converters + serve decoder (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
