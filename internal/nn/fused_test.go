@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,46 +10,47 @@ import (
 
 // TestLSTMStepFusedMatchesUnfused unrolls a multi-step sequence through the
 // fused Step and the StepUnfused oracle on identical weights and inputs, and
-// demands bit-identical hidden states and parameter gradients. This is the
-// layer-level differential guarantee the voyager golden test relies on.
+// demands bit-identical hidden states, parameter gradients and input
+// gradients (each x is a leaf that needs one, as the embedding output is in
+// training). This is the layer-level differential guarantee the voyager
+// golden test relies on.
 func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 	const in, hidden, batch, steps = 6, 5, 4, 3
 
-	run := func(unfused bool) ([]float32, [][]float32) {
+	run := func(unfused bool) [][]float32 {
 		rng := rand.New(rand.NewSource(33))
 		l := NewLSTM("diff", in, hidden, rng)
 		l.Unfused = unfused
-		xs := make([]*tensor.Mat, steps)
-		for s := range xs {
-			xs[s] = tensor.NewMat(batch, in)
-			xs[s].Uniform(rng, 1)
-		}
 		tp := tensor.NewTape()
+		xs := make([]*tensor.Node, steps)
+		for s := range xs {
+			x := tensor.NewMat(batch, in)
+			x.Uniform(rng, 1)
+			xs[s] = tp.Leaf(x, true)
+		}
 		state := l.ZeroState(tp, batch)
 		for _, x := range xs {
-			state = l.Step(tp, tp.Const(x), state)
+			state = l.Step(tp, x, state)
 		}
 		loss := tp.MeanAll(tp.Tanh(state.H))
 		tp.Backward(loss)
-		grads := make([][]float32, 0, 3)
+		out := [][]float32{append([]float32(nil), state.H.Val.Data...)}
 		for _, p := range l.Params() {
-			grads = append(grads, append([]float32(nil), p.Grad.Data...))
+			out = append(out, append([]float32(nil), p.Grad.Data...))
 		}
-		return append([]float32(nil), state.H.Val.Data...), grads
+		for _, x := range xs {
+			out = append(out, append([]float32(nil), x.Grad.Data...))
+		}
+		return out
 	}
 
-	fH, fG := run(false)
-	uH, uG := run(true)
-	for i := range fH {
-		if fH[i] != uH[i] {
-			t.Fatalf("h[%d]: fused %v vs unfused %v (must be bit-identical)", i, fH[i], uH[i])
-		}
-	}
-	for p := range fG {
-		for i := range fG[p] {
-			if fG[p][i] != uG[p][i] {
-				t.Fatalf("param %d grad[%d]: fused %v vs unfused %v (must be bit-identical)",
-					p, i, fG[p][i], uG[p][i])
+	// Rows: h, then the gradients of Wx, Wh and B, then of each x.
+	fused, unfused := run(false), run(true)
+	for r := range fused {
+		for i := range fused[r] {
+			if math.Float32bits(fused[r][i]) != math.Float32bits(unfused[r][i]) {
+				t.Fatalf("row %d [%d]: fused %v vs unfused %v (must be bit-identical)",
+					r, i, fused[r][i], unfused[r][i])
 			}
 		}
 	}

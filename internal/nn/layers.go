@@ -173,8 +173,9 @@ type LSTM struct {
 	B          *Param // 1×4H
 
 	// Unfused routes Step through the node-per-op formulation instead of
-	// the fused tensor.LSTMCell kernel. The two paths are bit-identical;
-	// this is a test hook for the differential suite, not a tuning knob.
+	// the fused tensor.LSTMGates and tensor.LSTMCell kernels. The two paths
+	// are bit-identical; this is a test hook for the differential suite,
+	// not a tuning knob.
 	Unfused bool
 }
 
@@ -228,24 +229,23 @@ func (l *LSTM) ZeroState(tp *tensor.Tape, batch int) State {
 }
 
 // Step advances the cell one timestep with input x (batch×In) and the
-// previous state, returning the new state. The gate projection is three tape
-// nodes; the activations, cell update and hidden output are one fused
-// tensor.LSTMCell node (bit-identical to StepUnfused's node chain).
+// previous state, returning the new state. It records two tape nodes: the
+// gate projection x·Wx + h·Wh + b as one tensor.LSTMGates node, and the
+// activations, cell update and hidden output as one tensor.LSTMCell node.
+// Both are bit-identical to StepUnfused's node chain.
 func (l *LSTM) Step(tp *tensor.Tape, x *tensor.Node, s State) State {
 	if l.Unfused {
 		return l.StepUnfused(tp, x, s)
 	}
-	gates := tp.AddBias(
-		tp.Add(tp.MatMul(x, l.Wx.Node(tp)), tp.MatMul(s.H, l.Wh.Node(tp))),
-		l.B.Node(tp),
-	)
+	gates := tp.LSTMGates(x, l.Wx.Node(tp), s.H, l.Wh.Node(tp), l.B.Node(tp))
 	h, c := tp.LSTMCell(gates, s.C)
 	return State{H: h, C: c}
 }
 
-// StepUnfused is the pre-fusion formulation of Step — 4 SliceCols copies, 4
+// StepUnfused is the pre-fusion formulation of Step — the gate projection
+// as MatMul, MatMul, Add and AddBias nodes, then 4 SliceCols copies, 4
 // activation nodes and 3 element-wise nodes per call. It is kept as the
-// differential-test oracle for the fused kernel.
+// differential-test oracle for the fused kernels.
 func (l *LSTM) StepUnfused(tp *tensor.Tape, x *tensor.Node, s State) State {
 	gates := tp.AddBias(
 		tp.Add(tp.MatMul(x, l.Wx.Node(tp)), tp.MatMul(s.H, l.Wh.Node(tp))),

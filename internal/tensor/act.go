@@ -111,7 +111,7 @@ func tanh64(x float64) float64 {
 	case x == 0:
 		return x
 	}
-	s := x * x
+	s := float64(x * x)
 	num := float64((float64(tanhP0*s)+tanhP1)*s) + tanhP2
 	den := float64((float64((s+tanhQ0)*s)+tanhQ1)*s) + tanhQ2
 	return x + x*s*num/den

@@ -88,6 +88,7 @@ func TestNoGradTapeAllocatesNothing(t *testing.T) {
 		tp.Reset()
 		tp.NoGrad = noGrad
 		y := tp.AddBias(tp.MatMul(tp.Const(x), tp.Param(w)), tp.Param(bias))
+		y = tp.LSTMGates(tp.Const(x), tp.Param(w), y, tp.Param(w), tp.Param(bias))
 		y = tp.Add(tp.Mul(tp.Sigmoid(y), tp.Tanh(y)), tp.ReLU(tp.Scale(y, 0.5)))
 		y = tp.DropoutMask(y, mask)
 		h, c := tp.LSTMCell(tp.ConcatCols(y, y, y, y), y)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -93,4 +94,95 @@ func TestLSTMCellShapePanics(t *testing.T) {
 		}
 	}()
 	tp.LSTMCell(tp.Const(NewMat(2, 12)), tp.Const(NewMat(2, 4)))
+}
+
+// TestLSTMGatesMatchesChain holds the one-node gate projection to the
+// AddBias(Add(MatMul, MatMul)) chain it replaced, bit for bit: the value
+// and all five gradients. Inputs and the seeded output gradient carry ±0,
+// subnormals, ±Inf and NaN, so the chain's +0 + dG hand-off to the
+// matmuls differs from dG wherever dG is -0. Shapes run serially and above
+// parallelThreshold (128·64·256), with 4H straddling the 8- and 32-column
+// blocks. h is a Const as at the first timestep, or a node that needs a
+// gradient; every gradient starts pre-filled, as x's does when the other
+// LSTM has already added its share.
+func TestLSTMGatesMatchesChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range []struct{ rows, in, hid, g int }{
+		{1, 3, 1, 4}, {5, 9, 9, 36}, {7, 2, 64, 256}, {128, 40, 9, 36}, {128, 64, 64, 256},
+	} {
+		xv := randSpecialMat(rng, s.rows, s.in)
+		wxv := randSpecialMat(rng, s.in, s.g)
+		hv := randSpecialMat(rng, s.rows, s.hid)
+		whv := randSpecialMat(rng, s.hid, s.g)
+		bv := randSpecialMat(rng, 1, s.g)
+		seed := randSpecialMat(rng, s.rows, s.g)
+		pre := [5]*Mat{
+			randSpecialMat(rng, s.rows, s.in), randSpecialMat(rng, s.in, s.g),
+			randSpecialMat(rng, s.rows, s.hid), randSpecialMat(rng, s.hid, s.g),
+			randSpecialMat(rng, 1, s.g),
+		}
+		for _, hConst := range []bool{true, false} {
+			run := func(fused bool) (*Mat, [5]*Mat) {
+				tp := NewTape()
+				var in [5]*Node
+				for i, m := range [5]*Mat{xv, wxv, hv, whv, bv} {
+					in[i] = tp.Param(m)
+					in[i].Grad = pre[i].Clone()
+				}
+				if hConst {
+					in[2] = tp.Const(hv)
+				}
+				var out *Node
+				if fused {
+					out = tp.LSTMGates(in[0], in[1], in[2], in[3], in[4])
+				} else {
+					out = tp.AddBias(tp.Add(tp.MatMul(in[0], in[1]), tp.MatMul(in[2], in[3])), in[4])
+				}
+				copy(out.EnsureGrad().Data, seed.Data)
+				tp.BackwardFromSeed()
+				var grads [5]*Mat
+				for i, n := range in {
+					grads[i] = n.Grad
+				}
+				return out.Val, grads
+			}
+			name := fmt.Sprintf("%dx%d·%dx%d + %dx%d·%dx%d hConst=%v",
+				s.rows, s.in, s.in, s.g, s.rows, s.hid, s.hid, s.g, hConst)
+			fv, fg := run(true)
+			cv, cg := run(false)
+			matsBitIdentical(t, name+" value", fv, cv)
+			for i, g := range fg {
+				if (g == nil) != (cg[i] == nil) {
+					t.Fatalf("%s: grad %d: fused nil=%v, chain nil=%v", name, i, g == nil, cg[i] == nil)
+				}
+				if g != nil {
+					matsBitIdentical(t, fmt.Sprintf("%s grad %d", name, i), g, cg[i])
+				}
+			}
+		}
+	}
+}
+
+// LSTMGates must reject a bias or recurrent weight that does not match wx.
+func TestLSTMGatesShapePanics(t *testing.T) {
+	tp := NewTape()
+	x, h := tp.Const(NewMat(2, 3)), tp.Const(NewMat(2, 4))
+	wx, wh := tp.Const(NewMat(3, 8)), tp.Const(NewMat(4, 8))
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"bias", func() { tp.LSTMGates(x, wx, h, wh, tp.Const(NewMat(1, 4))) }},
+		{"wh", func() { tp.LSTMGates(x, wx, h, tp.Const(NewMat(4, 4)), tp.Const(NewMat(1, 8))) }},
+		{"h rows", func() { tp.LSTMGates(x, wx, tp.Const(NewMat(3, 4)), wh, tp.Const(NewMat(1, 8))) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a shape panic", c.name)
+				}
+			}()
+			c.f()
+		}()
+	}
 }

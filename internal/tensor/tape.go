@@ -224,14 +224,17 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	if !a.requiresGrad && !b.requiresGrad {
 		return t.Const(out)
 	}
-	return t.record(out, func(n *Node) {
-		if a.requiresGrad {
-			MatMulABTransAcc(a.ensureGrad(), n.Grad, b.Val)
-		}
-		if b.requiresGrad {
-			MatMulATransBAcc(b.ensureGrad(), a.Val, n.Grad)
-		}
-	})
+	return t.record(out, func(n *Node) { matMulBackward(a, b, n.Grad) })
+}
+
+// matMulBackward propagates dY, the gradient of a·b, into a and b.
+func matMulBackward(a, b *Node, dY *Mat) {
+	if a.requiresGrad {
+		MatMulABTransAcc(a.ensureGrad(), dY, b.Val)
+	}
+	if b.requiresGrad {
+		MatMulATransBAcc(b.ensureGrad(), a.Val, dY)
+	}
 }
 
 // Add returns a+b element-wise; shapes must match.
@@ -277,14 +280,62 @@ func (t *Tape) AddBias(a, bias *Node) *Node {
 			a.ensureGrad().AddInPlace(n.Grad)
 		}
 		if bias.requiresGrad {
-			g := bias.ensureGrad().Row(0)
-			for r := 0; r < n.Grad.Rows; r++ {
-				row := n.Grad.Row(r)
-				for c, v := range row {
-					g[c] += v
-				}
-			}
+			biasBackward(bias, n.Grad)
 		}
+	})
+}
+
+// biasBackward adds the column sums of dY, the gradient of a row-broadcast
+// bias's output, into the 1×cols bias, one row at a time.
+func biasBackward(bias *Node, dY *Mat) {
+	g := bias.ensureGrad().Row(0)
+	for r := 0; r < dY.Rows; r++ {
+		for c, v := range dY.Row(r) {
+			g[c] += v
+		}
+	}
+}
+
+// LSTMGates returns the LSTM gate projection x·wx + h·wh + b as one node,
+// with the 1×cols bias b broadcast across rows. It stands for the four
+// nodes of AddBias(Add(MatMul(x, wx), MatMul(h, wh)), b) and keeps their
+// bits: each element is P + Q, then + b, with P = x·wx and Q = h·wh from
+// MatMul, the roundings and operand order of Add and then AddBias. Q lives
+// in a scratch matrix, so a call keeps one arena matrix and no
+// intermediate gradient. The backward runs the chain's backward code in
+// its reverse tape order: bias column sums, then h and wh, then x and wx.
+// The chain hands each matmul +0 + dG rather than dG, which differs only
+// where dG is -0, and every matmul-backward kernel starts its sums at +0,
+// where a ±0 term changes nothing, so the gradients keep their bits.
+func (t *Tape) LSTMGates(x, wx, h, wh, b *Node) *Node {
+	cols := wx.Val.Cols
+	if h.Val.Rows != x.Val.Rows || wh.Val.Cols != cols || b.Val.Rows != 1 || b.Val.Cols != cols {
+		panic(fmt.Sprintf("tensor: LSTMGates shapes x %s wx %s h %s wh %s b %s",
+			x.Val.shape(), wx.Val.shape(), h.Val.shape(), wh.Val.shape(), b.Val.shape()))
+	}
+	out := t.getMat(x.Val.Rows, cols, false)
+	MatMul(out, x.Val, wx.Val)
+	q := scratchMat(h.Val.Rows, cols)
+	MatMul(q, h.Val, wh.Val)
+	brow := b.Val.Row(0)
+	for r := 0; r < out.Rows; r++ {
+		orow := out.Row(r)[:len(brow)]
+		qrow := q.Row(r)[:len(brow)]
+		for c, v := range brow {
+			s := orow[c] + qrow[c]
+			orow[c] = s + v
+		}
+	}
+	releaseScratch(q)
+	if !x.requiresGrad && !wx.requiresGrad && !h.requiresGrad && !wh.requiresGrad && !b.requiresGrad {
+		return t.Const(out)
+	}
+	return t.record(out, func(n *Node) {
+		if b.requiresGrad {
+			biasBackward(b, n.Grad)
+		}
+		matMulBackward(h, wh, n.Grad)
+		matMulBackward(x, wx, n.Grad)
 	})
 }
 

@@ -7,15 +7,16 @@ import (
 // Steady-state allocation budgets for the hot path. Before the tape arena a
 // FastConfig TrainBatch burned thousands of allocations per step (fresh Mats
 // for every op's value and gradient); with the arena the remainder of a
-// train step is the per-op backward closures plus a few result slices,
-// measured at ~87 at one worker once the matmul dispatch went closure-free
-// (the former parallelRows closure cost one allocation per kernel call).
+// train step is the per-op backward closures plus a few result slices: ~63
+// at one worker and ~266 at four, with each LSTM step recording two nodes.
 // Inference runs on a NoGrad tape and builds no closures at all, so a
 // predict step is down to its result slices and the worker fan-out: ~33 at
 // one worker and ~50 at four (closures at inference would put it back near
-// 113 and 370). The budgets below leave ~50% headroom — they exist to catch
-// a regression that reintroduces per-step matrix or per-kernel dispatch
-// allocation, or backward closures at inference, not to pin exact counts.
+// 113 and 370). The train budgets sit below the 87 and 362 a step made
+// when the gate projection was four nodes, and the predict budgets leave
+// ~50% headroom: they exist to catch a regression that reintroduces
+// per-step matrix or per-kernel dispatch allocation, extra nodes per LSTM
+// step, or backward closures at inference, not to pin exact counts.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	cycle := []uint64{0x10<<6 | 5, 0x22<<6 | 61, 0x15<<6 | 0, 0x9<<6 | 33}
 	tr := cyclicTrace(cycle, 300)
@@ -23,8 +24,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		workers        int
 		train, predict float64
 	}{
-		{workers: 1, train: 150, predict: 50},
-		{workers: 4, train: 550, predict: 75},
+		{workers: 1, train: 80, predict: 50},
+		{workers: 4, train: 330, predict: 75},
 	} {
 		cfg := FastConfig()
 		cfg.Workers = tc.workers

@@ -17,6 +17,27 @@ go build ./...
 echo "== go build (GOARCH=arm64)"
 GOARCH=arm64 go build ./...
 
+# gc on arm64 fuses x*y + z into one FMADD unless the product is converted
+# explicitly, which would move the bits of exp64/tanh64. Every fused
+# instruction the compiler emits for act.go must sit on a math.FMA line.
+# Later runs replay the -S listing from the build cache.
+echo "== no implicit multiply-add fusion in act.go (GOARCH=arm64 -S)"
+fused_lines=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1 |
+  grep -oE 'act\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)[DS]' | cut -d: -f2 | cut -d')' -f1 | sort -un || true)
+if [ -z "$fused_lines" ]; then
+  echo "act.go: no fused instruction found; the math.FMA steps of exp64 should show"
+  exit 1
+fi
+bad=""
+for ln in $fused_lines; do
+  sed -n "${ln}p" internal/tensor/act.go | grep -q 'math\.FMA' || bad="$bad $ln"
+done
+if [ -n "$bad" ]; then
+  echo "act.go: gc fused a multiply-add outside math.FMA at line(s)$bad on arm64"
+  exit 1
+fi
+echo "act.go: fused instructions only on math.FMA lines ($(echo $fused_lines | wc -w) lines)"
+
 # testdata holds analyzer fixtures: inputs to the analyzers, not code the
 # build compiles.
 echo "== gofmt"
