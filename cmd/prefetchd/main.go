@@ -55,7 +55,6 @@ func main() {
 
 		listen    = flag.String("listen", "localhost:7011", "TCP listen address")
 		maxBatch  = flag.Int("max-batch", 32, "max rows coalesced into one PredictBatch call")
-		replicas  = flag.Int("replicas", 1, "data-parallel inference replicas (-1 = all CPUs)")
 		idleEvict = flag.Duration("idle-evict", 2*time.Minute, "evict sessions idle this long (0 = never)")
 
 		metricsHTTP = flag.String("metrics-http", "", "serve /metrics and /debug/pprof on this address")
@@ -99,7 +98,6 @@ func main() {
 	cfg.DropoutKeep = 1
 	cfg.PassesPerEpoch = *passes
 	cfg.EpochAccesses = *epoch
-	cfg.Workers = *replicas
 
 	var tracer *tracing.Tracer
 	if *traceOut != "" {

@@ -106,8 +106,9 @@ func serveBench(m *voyager.Model, tab *distill.Table, tr *trace.Trace) (serveBen
 	}
 
 	// Quality phase: the same fast-tier load against a fresh server (same
-	// weights and table — the first one is fully closed, so the model has a
-	// single batcher at all times) with online self-scoring enabled.
+	// weights and table — the first one is fully closed, so only one
+	// server's batchers use the model at a time) with online self-scoring
+	// enabled.
 	qualRec := serve.NewLatencyRecorder(serveBenchStreams * serveBenchFastReqs)
 	qreg := metrics.NewRegistry()
 	qsrv, err := serve.New(serve.Config{

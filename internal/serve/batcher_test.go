@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,11 +52,15 @@ func TestBatcherRunsWithoutWaitingForRows(t *testing.T) {
 }
 
 // TestBatcherCoalescesQueuedRows: requests that queue while the model is
-// busy share the next batch. Ten requests posted before the batcher starts
+// busy share the next batch. Ten requests posted before the batchers start
 // run as three batches (4, 4 and 2 rows at MaxBatch 4), and each row gets
-// its offline prediction.
+// its offline prediction. At GOMAXPROCS 4 the first batch also starts the
+// other three batchers. The count does not depend on the batchers taking
+// turns (it held with the turn removed), so this test does not pin the
+// turn; DESIGN §5.9 gives its measured throughput case.
 func TestBatcherCoalescesQueuedRows(t *testing.T) {
 	fixture(t)
+	setProcs(t, 4)
 	reg := metrics.NewRegistry()
 	s, err := New(Config{Model: fx.p.Model, MaxBatch: 4, Metrics: reg})
 	if err != nil {
@@ -101,10 +106,65 @@ func TestBatcherCoalescesQueuedRows(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	if got := reg.Gauge("serve_inference_workers").Value(); got != 4 {
+		t.Errorf("serve_inference_workers = %v, want 4", got)
+	}
 	if got := reg.Counter("serve_batches_total").Value(); got != 3 {
 		t.Errorf("serve_batches_total = %d, want 3", got)
 	}
 	if got := reg.Counter("serve_batch_rows_total").Value(); got != rows {
 		t.Errorf("serve_batch_rows_total = %d, want %d", got, rows)
+	}
+}
+
+// TestBatchersStartOnFirstModelBatch: the server runs one batcher per CPU
+// but builds their replicas only for its first model-tier batch, so a
+// server that answers from the distilled table alone runs one batcher, on
+// the model itself. At GOMAXPROCS 4, fast-tier answers leave
+// serve_inference_workers at 1 and run no batch; four concurrent
+// model-tier streams then start the other three batchers, and every answer
+// matches offline PredictAt.
+func TestBatchersStartOnFirstModelBatch(t *testing.T) {
+	fixture(t)
+	setProcs(t, 4)
+	reg := metrics.NewRegistry()
+	s := startServer(t, Config{Model: fx.p.Model, Table: fx.tab, Metrics: reg})
+	workers := reg.Gauge("serve_inference_workers")
+
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer func() { _ = cl.Close() }()
+	for pos, a := range fx.tr.Accesses[:200] {
+		if r, err := cl.Predict(100, a.PC, a.Addr, true); err != nil || r.Tier != TierFast {
+			t.Fatalf("pos %d: fast-tier predict: %+v, %v", pos, r, err)
+		}
+	}
+	if got := workers.Value(); got != 1 {
+		t.Fatalf("serve_inference_workers = %v after fast-tier answers only, want 1", got)
+	}
+	if got := reg.Counter("serve_batches_total").Value(); got != 0 {
+		t.Fatalf("serve_batches_total = %d after fast-tier answers only, want 0", got)
+	}
+
+	const streams = 4
+	errs := make([]error, streams)
+	var wg sync.WaitGroup
+	for k := 0; k < streams; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = replayStream(s, uint64(k+1), false)
+		}(k)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("model-tier stream %d: %v", k+1, err)
+		}
+	}
+	if got := workers.Value(); got != 4 {
+		t.Errorf("serve_inference_workers = %v after model-tier answers, want 4", got)
 	}
 }

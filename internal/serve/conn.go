@@ -1,6 +1,6 @@
 // Per-connection request handling. One goroutine per connection reads
 // frames, advances sessions, and answers — inline for the fast tier, via
-// the batcher for the model tier.
+// the batchers for the model tier.
 //
 // Per-connection scratch (frame buffers, row snapshot, reply channel,
 // history window) is allocated once at connection setup and reused for
@@ -219,7 +219,7 @@ func (s *Server) predictFast(cs *connState, st *session, req Request) {
 
 	// Quality work runs strictly after the latency record above: scoring
 	// and the shadow-sample decision are off the measured fast path, and
-	// the shadow model pass itself happens on the batcher goroutine.
+	// the shadow model pass itself happens on a batcher goroutine.
 	if s.cfg.Quality != nil {
 		st.qs.Score(line, cs.predictedLines(out), quality.TierFast)
 		if s.cfg.Quality.ShadowTick() {

@@ -58,10 +58,10 @@ func compareCands(got, want []Candidate) error {
 // TestServingGoldenDifferential is the serving-path golden differential:
 // N concurrent client streams replay the trace through a live daemon and
 // every response must be bit-identical (token ids, float64 score bits,
-// decoded addresses) to offline PredictAt on the same model — at 1 and 4
-// inference replicas. This is the end-to-end proof that session encoding,
-// window snapshots, admission batching, and sharded inference perturb
-// nothing.
+// decoded addresses) to offline PredictAt on the same model — served from
+// a Workers=1 and a Workers=4 model (the subtests' replicas=N), one batcher
+// per CPU. This is the end-to-end proof that session encoding, window
+// snapshots, admission batching and the inference workers perturb nothing.
 func TestServingGoldenDifferential(t *testing.T) {
 	fixture(t)
 	for _, replicas := range []int{1, 4} {

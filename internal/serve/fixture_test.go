@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -17,11 +18,13 @@ import (
 // answers (PredictAt over every position). Training dominates the package's
 // test time, so every test reuses this.
 //
-// Serving-side callers must not run two batchers (or a batcher and an
-// offline PredictAt) against the same *Model concurrently — inference reuses
-// the model's tape arena. The fixture therefore precomputes the oracle
-// before any server starts, and tests run servers against fx.p.Model one at
-// a time (a replica-4 clone exists for the concurrent cases).
+// A server runs one batcher per CPU, each on its own inference worker: the
+// model or one of its replicas, each with its own tape arena. So two
+// servers must not share a *Model at once, and no offline PredictAt may run
+// while one serves it. The fixture therefore precomputes the oracle before
+// any server starts, and tests run servers one at a time. fx.m4 is a
+// Workers=4 clone: serving it catches a PredictTokenBatch that still shards
+// its batch across replicas that belong to other batchers.
 var fx struct {
 	once sync.Once
 	err  error
@@ -66,8 +69,8 @@ func fixture(t testing.TB) {
 
 		fx.tab = distill.Compile(p, 0, p.NumAccesses(), distill.DefaultParams())
 
-		// A second model with the same weights but 4 inference replicas, via
-		// a save/load round trip (the serialized format is config-agnostic
+		// A second model with the same weights but Workers=4, via a
+		// save/load round trip (the serialized format is config-agnostic
 		// about Workers).
 		var buf bytes.Buffer
 		if err := p.SaveWeights(&buf); err != nil {
@@ -86,6 +89,15 @@ func fixture(t testing.TB) {
 	if fx.err != nil {
 		t.Fatalf("fixture: %v", fx.err)
 	}
+}
+
+// setProcs sets GOMAXPROCS, and with it the number of batchers a server
+// started afterwards runs, and restores it when the test ends, after the
+// Close that startServer registered later has run.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // wantResponse builds the expected wire candidates for trigger position pos

@@ -7,18 +7,36 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"voyager/internal/voyager"
 )
 
 // TestBatchingInvariance is the coalescing-independence property test:
 // the same per-stream request sequences are driven through servers with
-// wildly different batch caps (single-row batches up to 64 rows) under
-// randomly jittered interleavings, and every stream's response sequence
-// must be byte-identical across all of them. Inference is row-independent,
-// so how requests happened to share a PredictBatch must never leak into
-// results.
+// wildly different batch caps (single-row batches up to 64 rows), one or
+// four batchers (GOMAXPROCS 1 and 4 around Serve), and a Workers=1 and a
+// Workers=4 model, under randomly jittered interleavings, and every
+// stream's response sequence must be byte-identical across all of them.
+// Inference is row-independent, so how requests happened to share a batch,
+// or which inference worker ran it, must never leak into results.
 func TestBatchingInvariance(t *testing.T) {
 	fixture(t)
-	maxBatches := []int{1, 8, 64, 5}
+	procs0 := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs0) })
+	type config struct {
+		model    string
+		procs    int
+		maxBatch int
+	}
+	models := map[string]*voyager.Model{"Workers=1": fx.p.Model, "Workers=4": fx.m4}
+	var configs []config
+	for _, model := range []string{"Workers=1", "Workers=4"} {
+		for _, procs := range []int{1, 4} {
+			for _, maxBatch := range []int{1, 8, 64, 5} {
+				configs = append(configs, config{model, procs, maxBatch})
+			}
+		}
+	}
 	const (
 		streams = 4
 		perStr  = 300
@@ -26,10 +44,11 @@ func TestBatchingInvariance(t *testing.T) {
 	// Stream k replays a distinct slice of the trace so the per-stream
 	// sequences differ (a shared sequence would mask cross-stream mixups).
 	var baseline [][]byte
-	for ci, maxBatch := range maxBatches {
+	for ci, c := range configs {
+		runtime.GOMAXPROCS(c.procs)
 		s := startServer(t, Config{
-			Model:    fx.p.Model,
-			MaxBatch: maxBatch,
+			Model:    models[c.model],
+			MaxBatch: c.maxBatch,
 		})
 		got := make([][]byte, streams)
 		errs := make([]error, streams)
@@ -44,20 +63,21 @@ func TestBatchingInvariance(t *testing.T) {
 		wg.Wait()
 		for k, err := range errs {
 			if err != nil {
-				t.Fatalf("config %d stream %d: %v", ci, k, err)
+				t.Fatalf("config %d %+v stream %d: %v", ci, c, k, err)
 			}
 		}
 		if err := s.Close(); err != nil {
-			t.Fatalf("config %d: Close: %v", ci, err)
+			t.Fatalf("config %d %+v: Close: %v", ci, c, err)
 		}
+		runtime.GOMAXPROCS(procs0)
 		if ci == 0 {
 			baseline = got
 			continue
 		}
 		for k := range got {
 			if string(got[k]) != string(baseline[k]) {
-				t.Fatalf("config %d (maxBatch=%d): stream %d responses differ from config 0",
-					ci, maxBatch, k)
+				t.Fatalf("config %d %+v: stream %d responses differ from config 0 %+v",
+					ci, c, k, configs[0])
 			}
 		}
 	}

@@ -13,9 +13,11 @@ import (
 // times — each cycle serving real requests over loopback with the eviction
 // janitor running — and requires the goroutine count to return to baseline.
 // This is the teeth behind the shutdown protocol: Close must join the accept
-// loop, every connection handler, the batcher, and the janitor, every time.
+// loop, every connection handler, each of the four batchers, and the
+// janitor, every time.
 func TestStartStopNoGoroutineLeak(t *testing.T) {
 	fixture(t)
+	setProcs(t, 4)
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
@@ -43,7 +45,7 @@ func TestStartStopNoGoroutineLeak(t *testing.T) {
 		if _, err := cl.Predict(uint64(cycle), a.PC, a.Addr, true); err != nil {
 			t.Fatalf("cycle %d: fast Predict: %v", cycle, err)
 		}
-		// Every 10th cycle also exercise the batcher (model inference is the
+		// Every 10th cycle also exercise the batchers (model inference is the
 		// slow path; 10 full batches keep the test under a second).
 		if cycle%10 == 0 {
 			if _, err := cl.Predict(uint64(cycle), a.PC, a.Addr, false); err != nil {

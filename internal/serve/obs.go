@@ -37,18 +37,14 @@ type serveObs struct {
 
 	conns        *metrics.Gauge
 	traceDropped *metrics.Gauge // span-arena drops, mirrored from the tracer
+	workers      *metrics.Gauge // running batchers, one per inference worker
 
 	queueWait *metrics.Histogram // seconds from enqueue to batch start
 	batchFill *metrics.Histogram // rows per PredictBatch call
 	reqSec    *metrics.Histogram // model-tier request service seconds
 	fastSec   *metrics.Histogram // fast-tier request service seconds
 
-	tracer  *tracing.Tracer
-	batchTk *tracing.Track
-	// rpcBatchTk carries the batcher's async marks for traced requests.
-	// It lives under the shared "rpc" process name: tracing.Merge unifies
-	// processes by name, so these marks land in the client's async spans.
-	rpcBatchTk *tracing.Track
+	tracer *tracing.Tracer
 }
 
 func newServeObs(reg *metrics.Registry, tr *tracing.Tracer) *serveObs {
@@ -62,13 +58,12 @@ func newServeObs(reg *metrics.Registry, tr *tracing.Tracer) *serveObs {
 		janitorPasses: reg.Counter("serve_janitor_passes_total"),
 		conns:         reg.Gauge("serve_conns_active"),
 		traceDropped:  reg.Gauge("tracing_dropped_events"),
+		workers:       reg.Gauge("serve_inference_workers"),
 		queueWait:     reg.Histogram("serve_queue_wait_seconds"),
 		batchFill:     reg.Histogram("serve_batch_rows"),
 		reqSec:        reg.Histogram("serve_request_seconds"),
 		fastSec:       reg.Histogram("serve_fast_request_seconds"),
 		tracer:        tr,
-		batchTk:       tr.Track("prefetchd", "batcher"),
-		rpcBatchTk:    tr.Track("rpc", "batcher"),
 	}
 	for i := range o.tierCounts {
 		o.tierCounts[i] = reg.Counter("serve_fast_tier_" + tierName(i) + "_total")
@@ -104,7 +99,7 @@ func (o *serveObs) connTrack(connID uint64) *tracing.Track {
 }
 
 // rpcTrack is the per-connection timeline for trace-context request marks,
-// under the merge-unified "rpc" process name (see rpcBatchTk). Created
+// under the merge-unified "rpc" process name (see batcher.rpcTk). Created
 // lazily on a connection's first traced request so untraced serving adds no
 // tracks.
 func (o *serveObs) rpcTrack(connID uint64) *tracing.Track {

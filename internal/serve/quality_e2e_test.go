@@ -206,9 +206,11 @@ func TestQualityPhaseChangeE2E(t *testing.T) {
 // own "rpc" process) against a traced server (async marks on its "rpc"
 // process), exported separately — each file standalone-valid — then merged:
 // every client span must pair, and the server's marks must share the
-// client spans' pid and ids in the merged timeline.
+// client spans' pid and ids in the merged timeline. The server runs four
+// batchers, each with its own rpc track.
 func TestCrossProcessTracePairing(t *testing.T) {
 	fixture(t)
+	setProcs(t, 4)
 	srvTracer := tracing.New(tracing.Options{})
 	s := startServer(t, Config{
 		Model:    fx.p.Model,

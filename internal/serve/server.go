@@ -7,26 +7,29 @@
 // length-prefixed request frames (proto.go) and advances the stream's
 // session (session.go). Fast-tier requests are answered inline — a hash
 // probe of the distilled table, no queuing. Model-tier requests are posted
-// to an admission queue where a single batcher goroutine coalesces them into
-// PredictBatch calls (batcher.go) of up to MaxBatch rows: each batch takes
-// the requests already queued and runs at once, with no fill timer; the
-// model's forward pass is row-independent at inference, so coalescing never
+// to an admission queue, where one batcher goroutine per CPU, each with its
+// own inference worker, takes turns coalescing them into PredictTokenBatch
+// calls (batcher.go) of up to MaxBatch rows: each batch takes the requests
+// already queued and runs at once, with no fill timer, side by side with
+// the other batchers' batches. The model's forward pass is row-independent
+// at inference, so neither coalescing nor the worker a batch runs on
 // changes any stream's answers (the batching-invariance and
 // golden-differential tests pin this).
 //
 // Shutdown protocol (the waitleak contract): Close stops the listener, sets
 // an immediate read deadline on every open connection so idle handlers
 // unblock without severing in-flight responses, waits for all handlers to
-// exit, then closes the admission queue — the batcher answers everything
+// exit, then closes the admission queue — the batchers answer everything
 // still queued before exiting — and finally stops the eviction janitor and
-// joins both loops. Every goroutine the server starts is joined by Close;
-// the 100x start/stop leak test holds the daemon to that.
+// joins the batchers and the janitor. Every goroutine the server starts is
+// joined by Close; the 100x start/stop leak test holds the daemon to that.
 package serve
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +47,10 @@ import (
 // serviceable defaults.
 type Config struct {
 	// Model is the trained Voyager model (its vocabulary decides token
-	// encoding). PredictBatch is only ever entered from the batcher
-	// goroutine, as its contract requires.
+	// encoding). Serve runs batches on it and on its replicas, one
+	// inference worker per batcher (voyager.Model.InferenceWorkers), so
+	// nothing else may train it or run inference on it while the server
+	// runs.
 	Model *voyager.Model
 	// Table is the optional distilled fast tier. Its vocabulary
 	// fingerprint must match the model's vocabulary.
@@ -103,6 +108,10 @@ type Server struct {
 	queue    chan *pending
 	obs      *serveObs
 
+	// turn holds the one token the batchers pass around: a batcher holds
+	// it while it forms a batch (batcher.go).
+	turn chan struct{}
+
 	lis     net.Listener
 	closing atomic.Bool
 
@@ -113,7 +122,7 @@ type Server struct {
 	closed  bool
 
 	handlers sync.WaitGroup // accept loop + connection handlers
-	loops    sync.WaitGroup // batcher + janitor
+	loops    sync.WaitGroup // batchers + janitor
 	stop     chan struct{}  // closed by Close; stops the janitor
 }
 
@@ -159,9 +168,11 @@ func New(cfg Config) (*Server, error) {
 		sessions: newSessionTable(ringCap, cfg.Metrics, cfg.Quality),
 		queue:    make(chan *pending, cfg.QueueDepth),
 		obs:      newServeObs(cfg.Metrics, cfg.Tracer),
+		turn:     make(chan struct{}, 1),
 		conns:    make(map[uint64]net.Conn),
 		stop:     make(chan struct{}),
 	}
+	s.turn <- struct{}{}
 	return s, nil
 }
 
@@ -177,14 +188,19 @@ func (s *Server) Start(addr string) error {
 }
 
 // Serve starts serving on an existing listener (owned by the server from
-// here on) and returns immediately.
+// here on) and returns immediately. The server runs one batcher per CPU,
+// runtime.GOMAXPROCS(0) read here: Serve starts the first, on the model
+// itself, and its first batch starts the others (batcher.go).
 func (s *Server) Serve(lis net.Listener) {
 	s.mu.Lock()
 	s.lis = lis
 	s.started = true
 	s.mu.Unlock()
+	b := s.newBatcher(0, s.cfg.Model)
+	b.spawn = runtime.GOMAXPROCS(0)
+	s.obs.workers.Set(1)
 	s.loops.Add(1)
-	go s.batchLoop()
+	go s.batchLoop(b)
 	if s.cfg.IdleTimeout > 0 {
 		s.loops.Add(1)
 		go s.janitor()
@@ -296,7 +312,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	s.handlers.Wait()
-	close(s.queue) // batcher drains buffered requests, then exits
+	close(s.queue) // batchers drain buffered requests, then exit
 	close(s.stop)  // janitor exits
 	s.loops.Wait()
 	// Final drop-gauge update now that every recording goroutine is joined.

@@ -48,8 +48,8 @@ func (m *Model) Config() Config { return m.cfg }
 // trace — the serving-side equivalent of Predictor.buildBatch, fed from
 // per-stream session rings instead of a pre-encoded trace. Row storage is
 // reused across Reset cycles, so a long-running server's steady state
-// allocates nothing here. Not safe for concurrent use; the serving batcher
-// owns exactly one.
+// allocates nothing here. Not safe for concurrent use; each serving batcher
+// owns one.
 type TokenBatch struct {
 	seqLen int
 	seqs   []batchToken
@@ -97,8 +97,13 @@ func (b *TokenBatch) Add(pc, page, off []int32) {
 // pass is row-independent at inference (no dropout, per-row top-k, fixed
 // summation order), so each row's candidates are bit-identical to the same
 // tokens run through PredictAt in any other batch composition — the property
-// the serving-path golden differential pins. Must be called from a single
-// goroutine at a time (the serving batcher), like every PredictBatch entry.
+// the serving-path golden differential pins.
+//
+// The whole batch runs on the receiver's own tape and never shards across
+// replicas, whatever Config.Workers says: a server runs one batch per
+// inference worker at a time (InferenceWorkers), and the other replicas
+// belong to the other workers. Must be called from one goroutine at a time
+// per receiver.
 func (m *Model) PredictTokenBatch(b *TokenBatch, degree int) [][]Candidate {
 	if b.rows == 0 {
 		return nil
@@ -109,7 +114,31 @@ func (m *Model) PredictTokenBatch(b *TokenBatch, degree int) [][]Candidate {
 		seqs[s].page = b.seqs[s].page[:b.rows]
 		seqs[s].off = b.seqs[s].off[:b.rows]
 	}
-	return m.PredictBatch(seqs, degree)
+	if m.cfg.QuantizedPredict {
+		// A no-op on every worker InferenceWorkers returned: it has already
+		// requantized and handed each of them the master's shadows.
+		m.ensureQuantHeads()
+	}
+	return m.predictShard(seqs, degree)
+}
+
+// InferenceWorkers returns n ≥ 1 models that share this model's weights and
+// can each run PredictTokenBatch on its own goroutine at the same time: the
+// model itself and n-1 of its replicas, each with its own tape and scratch.
+// With QuantizedPredict set it requantizes the heads once, here on the
+// caller's goroutine, and gives every worker the master's shadows, so no
+// worker writes shared state afterwards. Call it before the workers start,
+// and run no training or offline PredictBatch on the model while they run.
+func (m *Model) InferenceWorkers(n int) []*Model {
+	m.ensureReplicas(n)
+	workers := append([]*Model{m}, m.replicas[:n-1]...)
+	if m.cfg.QuantizedPredict {
+		m.ensureQuantHeads()
+		for _, r := range workers[1:] {
+			r.qPageHead, r.qOffHead = m.qPageHead, m.qOffHead
+		}
+	}
+	return workers
 }
 
 // SetQuantizedPredict toggles the int8 quantized predict path on an

@@ -30,7 +30,8 @@ type Model struct {
 	// qPageHead/qOffHead are the int8 shadows of the heads used when
 	// cfg.QuantizedPredict is set. The master owns them and requantizes
 	// lazily (qDirty, set by TrainBatch); replicas receive the master's
-	// pointers before each sharded predict and only read them.
+	// pointers before each sharded predict, or once from InferenceWorkers,
+	// and only read them.
 	qPageHead *nn.QuantizedLinear
 	qOffHead  *nn.QuantizedLinear
 	qDirty    bool
@@ -46,7 +47,7 @@ type Model struct {
 	// replicas are the data-parallel workers 1..Workers-1: lightweight
 	// shadow models sharing this model's weights but owning their gradient
 	// buffers and RNG streams (seeded cfg.Seed+workerID). Built lazily on
-	// the first sharded batch.
+	// the first sharded batch, or by InferenceWorkers for serving.
 	replicas []*Model
 
 	// tape is this worker's long-lived autodiff tape and memory arena:
@@ -433,7 +434,8 @@ func (m *Model) PredictBatch(seqs []batchToken, degree int) [][]Candidate {
 
 // ensureQuantHeads builds or refreshes the int8 head shadows so they match
 // the current fp32 weights. Called from the PredictBatch entry goroutine
-// only, never from shards, so requantization is race-free.
+// and InferenceWorkers' caller only, never from shards, so requantization
+// is race-free; on a worker that already holds fresh shadows it only reads.
 func (m *Model) ensureQuantHeads() {
 	if m.qPageHead == nil {
 		m.qPageHead = nn.QuantizeLinear(m.pageHead)

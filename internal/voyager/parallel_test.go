@@ -1,7 +1,9 @@
 package voyager
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"voyager/internal/trace"
@@ -122,6 +124,101 @@ func TestPredictBatchParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A server runs one batch per inference worker at a time. n workers of a
+// Workers=n model, each on its own goroutine at once, must answer multi-row
+// TokenBatches bit-for-bit as PredictAt does, with fp32 heads and with the
+// int8 heads InferenceWorkers requantizes once for all workers. A
+// PredictTokenBatch that still sharded its batch across the replicas would
+// have two goroutines writing one replica's tape.
+func TestInferenceWorkersConcurrentMatchPredictAt(t *testing.T) {
+	cycle := make([]uint64, 24)
+	for i := range cycle {
+		cycle[i] = uint64(0x40+i*7%13)<<6 | uint64(i*11%64)
+	}
+	tr := cyclicTrace(cycle, 40)
+	const n = 4
+	for _, quant := range []bool{false, true} {
+		cfg := FastConfig()
+		cfg.Degree = 3
+		cfg.Workers = n
+		h, err := NewBenchHarness(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			h.TrainStep() // move the weights off their initialization
+		}
+		p := h.p
+		p.Model.SetQuantizedPredict(quant)
+		positions := make([]int, p.NumAccesses())
+		for i := range positions {
+			positions[i] = i
+		}
+		want := p.PredictAt(positions, cfg.Degree)
+		// Mark the int8 shadows stale again: InferenceWorkers must
+		// requantize before the workers run, or the master would requantize
+		// in place while the replicas read the same shadows (a race).
+		p.Model.SetQuantizedPredict(quant)
+		workers := p.Model.InferenceWorkers(n)
+		if len(workers) != n || workers[0] != p.Model {
+			t.Fatalf("InferenceWorkers(%d): %d workers, first is the model: %v", n, len(workers), workers[0] == p.Model)
+		}
+
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for g, w := range workers {
+			wg.Add(1)
+			go func(g int, w *Model) {
+				defer wg.Done()
+				errs[g] = predictAllInRows(p, w, want, g+2)
+			}(g, w)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Errorf("quantized=%v worker %d: %v", quant, g, err)
+			}
+		}
+	}
+}
+
+// predictAllInRows runs every trace position through worker w in TokenBatches
+// of rows rows and compares each candidate with want, the PredictAt answers.
+func predictAllInRows(p *Predictor, w *Model, want [][]Candidate, rows int) error {
+	seqLen := w.Config().SeqLen
+	tb := NewTokenBatch(seqLen)
+	pc := make([]int32, seqLen)
+	page := make([]int32, seqLen)
+	off := make([]int32, seqLen)
+	for lo := 0; lo < p.NumAccesses(); lo += rows {
+		hi := min(lo+rows, p.NumAccesses())
+		tb.Reset()
+		for pos := lo; pos < hi; pos++ {
+			for j := range pc {
+				idx := max(pos-seqLen+1+j, 0) // buildBatch's clamp
+				pt, gt, ot := p.TokensAt(idx)
+				pc[j], page[j], off[j] = int32(pt), int32(gt), int32(ot)
+			}
+			tb.Add(pc, page, off)
+		}
+		got := w.PredictTokenBatch(tb, w.Config().Degree)
+		for r, cands := range got {
+			pos := lo + r
+			if len(cands) != len(want[pos]) {
+				return fmt.Errorf("pos %d: %d candidates, want %d", pos, len(cands), len(want[pos]))
+			}
+			for k, c := range cands {
+				wc := want[pos][k]
+				if c.PageTok != wc.PageTok || c.OffTok != wc.OffTok ||
+					math.Float64bits(c.Score) != math.Float64bits(wc.Score) {
+					return fmt.Errorf("pos %d candidate %d = %+v, want %+v", pos, k, c, wc)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // WorkersAuto and explicit widths must validate; nonsense must not.

@@ -123,12 +123,20 @@ go test -race ./internal/tensor/ ./internal/nn/ ./internal/trace/ ./internal/met
 # that exercise sharded TrainBatch/PredictBatch plus one e2e training run.
 go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith' ./internal/voyager/
 # prefetchd's concurrency surface: many connection handlers against one
-# batcher, the session table under contention with the eviction janitor,
-# and the 100x start/stop goroutine-leak cycle. The golden differentials
-# re-train the fixture under -race (slow), so race-check the contention,
-# leak, batching-invariance and batcher-policy tests specifically.
-echo "== go test -race (serve: contention, leaks, batching invariance, batcher)"
-go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent|Batcher' ./internal/serve/
+# batcher per CPU, the session table under contention with the eviction
+# janitor, and the 100x start/stop goroutine-leak cycle. The golden
+# differentials re-train the fixture under -race (slow), so race-check the
+# contention, leak, batching-invariance, batcher-policy and per-batcher
+# trace-track tests specifically.
+echo "== go test -race (serve: contention, leaks, batching invariance, batchers)"
+go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent|Batcher|CrossProcess' ./internal/serve/
+# The state the inference workers share: concurrent PredictTokenBatch calls
+# on one model's workers, the batchers' turn, and the first batch that
+# builds the replicas and starts the other batchers. Ten runs each, since
+# one clean -race run says little about a schedule (~45 s).
+echo "== go test -race -count=10 (inference workers, batcher turn and start)"
+go test -race -count=10 -run 'TestInferenceWorkersConcurrentMatchPredictAt' ./internal/voyager/
+go test -race -count=10 -run 'TestBatchersStartOnFirstModelBatch|TestBatcherCoalescesQueuedRows' ./internal/serve/
 
 echo "== fuzz trace.Read + metrics.ParseSnapshot + quant converters + serve decoder (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
