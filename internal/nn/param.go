@@ -75,22 +75,26 @@ func (p *Param) ZeroGrad() {
 // Size returns the number of scalar weights.
 func (p *Param) Size() int { return p.W.Rows * p.W.Cols }
 
-// ShadowClone returns a parameter that shares p's weight matrix but owns
-// fresh gradient storage (and, for sparse params, a fresh touched set).
-// Shadows are the per-worker gradient buffers for data-parallel training:
-// every worker backpropagates into its own shadow, then the shadows are
-// folded into the master with MergeGrad in fixed worker order.
+// ShadowClone returns a parameter that shares p's weight matrix and has no
+// gradient storage until EnsureGrad gives it its own (and, for sparse
+// params, a fresh touched set). Shadows are the per-worker gradient
+// buffers for data-parallel training: every worker backpropagates into its
+// own shadow, then the shadows are folded into the master with MergeGrad
+// in fixed worker order. A shadow that only runs inference never carries a
+// buffer as large as its weights.
 func (p *Param) ShadowClone() *Param {
-	s := &Param{
-		Name:   p.Name,
-		W:      p.W,
-		Grad:   tensor.NewMat(p.W.Rows, p.W.Cols),
-		sparse: p.sparse,
-	}
+	s := &Param{Name: p.Name, W: p.W, sparse: p.sparse}
 	if p.sparse {
 		s.touched = make(map[int]struct{})
 	}
 	return s
+}
+
+// EnsureGrad allocates p's zeroed gradient buffer if it has none.
+func (p *Param) EnsureGrad() {
+	if p.Grad == nil {
+		p.Grad = tensor.NewMat(p.W.Rows, p.W.Cols)
+	}
 }
 
 // MergeGrad accumulates o's gradient into p's and clears o for reuse.
@@ -120,8 +124,13 @@ func (p *Param) MergeGrad(o *Param) {
 }
 
 // Node wraps the parameter for use on a tape; gradients accumulate into
-// p.Grad via the shared matrix.
+// p.Grad via the shared matrix. On a gradient tape p must have a Grad: a
+// shadow that missed EnsureGrad panics here rather than letting the tape
+// give its gradients scratch space that Reset throws away.
 func (p *Param) Node(tp *tensor.Tape) *tensor.Node {
+	if p.Grad == nil && !tp.NoGrad {
+		panic("nn: param " + p.Name + " has no gradient buffer on a gradient tape (shadow without EnsureGrad)")
+	}
 	n := tp.Param(p.W)
 	n.Grad = p.Grad
 	return n

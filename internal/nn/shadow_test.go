@@ -15,6 +15,10 @@ func TestShadowCloneSharesWeightsOwnsGrads(t *testing.T) {
 	if s.W != p.W {
 		t.Fatalf("shadow must alias the master weight matrix")
 	}
+	if s.Grad != nil {
+		t.Fatalf("shadow must allocate no gradient buffer before EnsureGrad")
+	}
+	s.EnsureGrad()
 	if s.Grad == p.Grad {
 		t.Fatalf("shadow must own its gradient buffer")
 	}
@@ -29,6 +33,7 @@ func TestShadowCloneSharesWeightsOwnsGrads(t *testing.T) {
 func TestMergeGradDense(t *testing.T) {
 	p := NewParam("w", 2, 2)
 	s := p.ShadowClone()
+	s.EnsureGrad()
 	p.Grad.Fill(1)
 	s.Grad.Fill(2)
 	p.MergeGrad(s)
@@ -47,6 +52,7 @@ func TestMergeGradDense(t *testing.T) {
 func TestMergeGradSparseTouchedRows(t *testing.T) {
 	p := NewSparseParam("emb", 5, 3)
 	s := p.ShadowClone()
+	s.EnsureGrad()
 	if !s.Sparse() {
 		t.Fatalf("shadow of sparse param must be sparse")
 	}
@@ -118,6 +124,9 @@ func TestShadowLayersGradientEquivalence(t *testing.T) {
 	emb.Table.ZeroGrad()
 
 	se, sl := emb.ShadowClone(), lin.ShadowClone()
+	for _, p := range []*Param{se.Table, sl.W, sl.B} {
+		p.EnsureGrad()
+	}
 	gotLoss := run(se, sl)
 	if gotLoss != wantLoss {
 		t.Fatalf("shadow loss %v want %v", gotLoss, wantLoss)
@@ -141,4 +150,36 @@ func TestShadowLayersGradientEquivalence(t *testing.T) {
 			t.Fatalf("merged embedding grad [%d] = %v want %v", i, v, wantEG.Data[i])
 		}
 	}
+}
+
+// A shadow that missed EnsureGrad must fail loudly on a gradient tape,
+// not write its gradients into tape scratch that Reset discards, and must
+// still run inference on a NoGrad tape, where serving replicas use it.
+func TestShadowWithoutGradPanicsOnGradientTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lin := NewLinear("lin", 4, 3, rng)
+	x := tensor.NewMat(2, 4)
+	x.Fill(0.5)
+
+	s := lin.ShadowClone()
+	tp := tensor.NewTape()
+	tp.NoGrad = true
+	got, want := s.Forward(tp, tp.Const(x)).Val, lin.Forward(tp, tp.Const(x)).Val
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("NoGrad shadow forward %v want %v", got.Data, want.Data)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Forward plus Backward of a shadow without EnsureGrad did not panic")
+		}
+		if s.W.Grad != nil || s.B.Grad != nil {
+			t.Fatalf("shadow gained a gradient buffer without EnsureGrad")
+		}
+	}()
+	tp.Reset()
+	y := s.Forward(tp, tp.Const(x))
+	tp.Backward(tp.SumAll(y))
 }

@@ -34,6 +34,30 @@ func hasFMA() bool {
 	return ecx&fma != 0
 }
 
+// useAVX512 routes the exact matmul kernels' four-row blocks through
+// mulAdd4AVX512: AVX2 as above, plus AVX-512F (CPUID.7.0:EBX bit 16) with
+// the OS saving the opmask registers and all 512 bits of the 32 vector
+// registers (XCR0 bits 5, 6 and 7 besides XMM and YMM).
+var useAVX512 = useAVX2 && hasAVX512F()
+
+func hasAVX512F() bool {
+	const avx512f = 1 << 16
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx512f == 0 {
+		return false
+	}
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	return xgetbv0()&zmmState == zmmState
+}
+
+// mulAdd4AVX512 computes, for the four dst rows r in [0, 4) and j in
+// [0, n), d[r·n+j] += Σ_k a[r·lda+k·astride]·b[k·n+j] over ascending k,
+// one float32 multiply and one float32 add per term, with fromZero as in
+// rowMulAddAVX2. b is kc×n. The caller guarantees every index is in
+// bounds; see mulAddRows.
+//
+//go:noescape
+func mulAdd4AVX512(d, a, b []float32, kc, n, lda, astride int, fromZero bool)
+
 // rowMulAddAVX2 computes, for j in [0, len(d)) with len(d) a multiple of 8,
 // d[j] += Σ_k a[k·astride]·b[k·ldb+j] over ascending k, one float32
 // multiply and one float32 add per term. fromZero accumulates from +0 and

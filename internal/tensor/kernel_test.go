@@ -167,61 +167,105 @@ func randSpecialMat(rng *rand.Rand, r, c int) *Mat {
 	return m
 }
 
-// TestVecKernelsMatchGoKernels holds the entry points, which run the
-// vector kernels on an AVX2 host, to the Go kernels called directly, bit
-// for bit. Column counts straddle the 8- and 32-column blocks and the Go
-// tail, and the shapes cross parallelThreshold (128·64·257 is above it).
-func TestVecKernelsMatchGoKernels(t *testing.T) {
-	if !useAVX2 {
-		t.Log("no AVX2: both sides run the Go kernels")
+// kernelPath is one setting of the kernel dispatch variables.
+type kernelPath struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// onVecPaths runs f once per vector path the host runs (vecPaths), as a
+// subtest with that path selected, or once on the Go kernels where there
+// is none.
+func onVecPaths(t *testing.T, f func(t *testing.T)) {
+	paths := vecPaths(t)
+	if len(paths) == 0 {
+		f(t)
+		return
 	}
-	rng := rand.New(rand.NewSource(15))
-	for _, r := range []int{0, 1, 2, 128} {
-		for _, kc := range []int{0, 1, 5, 40, 64} {
-			for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 64, 96, 257} {
-				// Every product is r×n with inner dimension kc.
-				name := func(f string) string { return fmt.Sprintf("%s %dx%dx%d", f, r, kc, n) }
-				a := randSpecialMat(rng, r, kc)
-				b := randSpecialMat(rng, kc, n)
-				want := NewMat(r, n)
-				matMulAccRange(want, a, b, 0, r)
-				matsBitIdentical(t, name("MatMul"), MatMul(nil, a, b), want)
-
-				at := randSpecialMat(rng, kc, r)
-				bt := randSpecialMat(rng, kc, n)
-				want = NewMat(r, n)
-				matMulATransBRange(want, at, bt, 0, r)
-				matsBitIdentical(t, name("MatMulATransB"), MatMulATransB(nil, at, bt), want)
-
-				base := randSpecialMat(rng, r, n)
-				want = base.Clone()
-				matMulATransBAccRange(want, at, bt, 0, r)
-				got := base.Clone()
-				MatMulATransBAcc(got, at, bt)
-				matsBitIdentical(t, name("MatMulATransBAcc"), got, want)
-
-				bb := randSpecialMat(rng, n, kc)
-				want = NewMat(r, n)
-				matMulABTransRange(want, a, bb, 0, r)
-				matsBitIdentical(t, name("MatMulABTrans"), MatMulABTrans(nil, a, bb), want)
-
-				want = base.Clone()
-				matMulABTransRange(want, a, bb, 0, r)
-				got = base.Clone()
-				MatMulABTransAcc(got, a, bb)
-				matsBitIdentical(t, name("MatMulABTransAcc"), got, want)
-			}
-		}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			p.use(t)
+			f(t)
+		})
 	}
 }
 
+// TestVecKernelsMatchGoKernels holds the entry points to the Go kernels,
+// called directly, bit for bit, on every vector path the host runs. Row
+// counts straddle the AVX-512 kernel's 4-row blocks; column counts
+// straddle the AVX2 path's 8- and 32-column blocks and Go tail and the
+// AVX-512 path's 16- and 64-column blocks and lane mask; kc runs past 128.
+// The small row counts meet every kc and n. The large ones cross
+// parallelThreshold at the larger kc and n, so the pool splits them (on
+// two workers 130 rows into chunks of 68 and 62 on the AVX-512 path, 65
+// and 65 on the AVX2 path). They meet every kc but 129 and fewer n, since
+// the Go reference kernels' cost grows with the row count.
+func TestVecKernelsMatchGoKernels(t *testing.T) {
+	onVecPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		for _, r := range []int{0, 1, 2, 3, 4, 5, 7, 9, 128, 130, 131} {
+			kcs := []int{0, 1, 5, 40, 64, 129}
+			ns := []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 48, 63, 64, 65, 80, 96, 127, 129, 257}
+			if r >= 128 {
+				kcs = []int{0, 1, 5, 40, 64}
+				ns = []int{1, 7, 8, 9, 17, 31, 32, 33, 40, 64, 65, 96, 257}
+			}
+			for _, kc := range kcs {
+				for _, n := range ns {
+					checkVecKernels(t, rng, r, kc, n)
+				}
+			}
+		}
+	})
+}
+
+// checkVecKernels compares every entry point's r×n product with inner
+// dimension kc to the Go kernel's, on inputs with special values.
+func checkVecKernels(t *testing.T, rng *rand.Rand, r, kc, n int) {
+	t.Helper()
+	name := func(f string) string { return fmt.Sprintf("%s %dx%dx%d", f, r, kc, n) }
+	a := randSpecialMat(rng, r, kc)
+	b := randSpecialMat(rng, kc, n)
+	want := NewMat(r, n)
+	matMulAccRange(want, a, b, 0, r)
+	matsBitIdentical(t, name("MatMul"), MatMul(nil, a, b), want)
+
+	at := randSpecialMat(rng, kc, r)
+	bt := randSpecialMat(rng, kc, n)
+	want = NewMat(r, n)
+	matMulATransBRange(want, at, bt, 0, r)
+	matsBitIdentical(t, name("MatMulATransB"), MatMulATransB(nil, at, bt), want)
+
+	base := randSpecialMat(rng, r, n)
+	want = base.Clone()
+	matMulATransBAccRange(want, at, bt, 0, r)
+	got := base.Clone()
+	MatMulATransBAcc(got, at, bt)
+	matsBitIdentical(t, name("MatMulATransBAcc"), got, want)
+
+	bb := randSpecialMat(rng, n, kc)
+	want = NewMat(r, n)
+	matMulABTransRange(want, a, bb, 0, r)
+	matsBitIdentical(t, name("MatMulABTrans"), MatMulABTrans(nil, a, bb), want)
+
+	want = base.Clone()
+	matMulABTransRange(want, a, bb, 0, r)
+	got = base.Clone()
+	MatMulABTransAcc(got, a, bb)
+	matsBitIdentical(t, name("MatMulABTransAcc"), got, want)
+}
+
 // TestMatMulKernelsAllocFree pins the steady-state allocation budget of
-// every matmul entry point at zero, in both the serial (below
-// parallelThreshold) and pool-dispatched (above it) regimes, including the
-// pooled bᵀ scratch of the vector a·bᵀ kernels. The former parallelRows
-// closure cost 1 alloc / 32 B on every call — this is the regression test
-// for that fix (see chunkTask in pool.go).
+// every matmul entry point at zero, on every vector path the host runs, in
+// both the serial (below parallelThreshold) and pool-dispatched (above it)
+// regimes, including the pooled bᵀ scratch of the vector a·bᵀ kernels.
+// The former parallelRows closure cost 1 alloc / 32 B on every call — this
+// is the regression test for that fix (see chunkTask in pool.go).
 func TestMatMulKernelsAllocFree(t *testing.T) {
+	onVecPaths(t, checkMatMulKernelsAllocFree)
+}
+
+func checkMatMulKernelsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, size := range []struct {
 		name    string
@@ -274,4 +318,50 @@ func BenchmarkMatMulATransB256(b *testing.B) {
 func BenchmarkMatMulABTrans256(b *testing.B) {
 	b.ReportAllocs()
 	benchMatMul256(b, func(dst, x, y *Mat) { MatMulABTrans(dst, x, y) })
+}
+
+// BenchmarkMatMulTrainShapes times each kernel form at the offline
+// training shapes on one goroutine, calling the range kernel directly: for
+// a weight W of k×n, the forward a·b (128×k · W), the weight gradient aᵀ·b
+// (128×k, 128×n) and the input gradient a·bᵀ (128×n · Wᵀ). k is the LSTM
+// input 40, the hidden size 64 and the 104-wide head input; n is the 256
+// gate columns and a 250-wide page head. Each runs on every vector path
+// the host has and on the Go kernels; the vector a·bᵀ includes the
+// transpose of W that matMulABTransAcc makes.
+func BenchmarkMatMulTrainShapes(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(9))
+	const rows = 128
+	paths := append(vecPaths(b), kernelPath{name: "go"})
+	for _, form := range []string{"ab", "atb", "abt"} {
+		for _, kn := range [][2]int{{40, 256}, {64, 256}, {104, 256}, {104, 250}} {
+			k, n := kn[0], kn[1]
+			x, w, dy := randMat(rng, rows, k), randMat(rng, k, n), randMat(rng, rows, n)
+			out, grad, dx, wt := NewMat(rows, n), NewMat(k, n), NewMat(rows, k), NewMat(n, k)
+			for _, p := range paths {
+				var f func()
+				switch {
+				case form == "ab" && p.avx2:
+					f = func() { matMulAccVecRange(out, x, w, 0, rows) }
+				case form == "ab":
+					f = func() { matMulAccRange(out, x, w, 0, rows) }
+				case form == "atb" && p.avx2:
+					f = func() { matMulATransBVecRange(grad, x, dy, 0, k) }
+				case form == "atb":
+					f = func() { matMulATransBAccRange(grad, x, dy, 0, k) }
+				case p.avx2:
+					f = func() { transposeInto(wt, w); matMulABTransVecRange(dx, dy, wt, 0, rows) }
+				default:
+					f = func() { matMulABTransRange(dx, dy, w, 0, rows) }
+				}
+				b.Run(fmt.Sprintf("%s/w%dx%d/%s", form, k, n, p.name), func(b *testing.B) {
+					p.use(b)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						f()
+					}
+				})
+			}
+		}
+	}
 }

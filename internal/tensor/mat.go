@@ -182,8 +182,10 @@ const kernelKTile = 64
 // hold for non-finite and signed-zero inputs too: 0·Inf contributes NaN and
 // -0 terms keep their sign, exactly like a naive triple loop (the former
 // av == 0 skip branches diverged on such inputs; see TestMatMulNonFinite).
-// On AVX2 hosts the same kernels run eight output columns per instruction
-// through rowMulAddAVX2 (vec.go), which keeps this contract lane by lane:
+// On AVX2 hosts the same kernels run through mulAddRows (vec.go): four dst
+// rows × sixteen columns per instruction in mulAdd4AVX512 where the CPU
+// also has AVX-512F, and eight columns of one row per instruction in
+// rowMulAddAVX2 for every other row. Both keep this contract lane by lane:
 // a multiply then an add per term, never fused, in the same order. Which
 // path ran never shows in the results.
 

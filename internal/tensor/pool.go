@@ -135,15 +135,16 @@ var wgScratch = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 //hot:path
 func parallelKernel(n int, kern matKernel, dst, a, b *Mat) {
 	poolOnce.Do(startPool)
-	chunks := poolSize
-	if chunks > n {
-		chunks = n
+	chunk := (n + poolSize - 1) / poolSize
+	if useAVX512 {
+		// Chunks hold whole 4-row blocks of mulAdd4AVX512, so only the
+		// last one can leave rows to rowMulAdd.
+		chunk = (chunk + 3) &^ 3
 	}
-	if chunks <= 1 {
+	if chunk >= n {
 		kern(dst, a, b, 0, n)
 		return
 	}
-	chunk := (n + chunks - 1) / chunks
 	wg := wgScratch.Get().(*sync.WaitGroup)
 	for lo := chunk; lo < n; lo += chunk {
 		hi := lo + chunk

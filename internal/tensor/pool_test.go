@@ -117,6 +117,36 @@ func TestParallelCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestParallelKernelChunksWholeBlocks checks, on every vector path the
+// host runs, that parallelKernel covers [0, n) once, and on the AVX-512
+// path in chunks that start on a 4-row boundary, so mulAdd4AVX512's blocks
+// never straddle two chunks (on two workers 130 rows split 68/62 there,
+// 65/65 elsewhere).
+func TestParallelKernelChunksWholeBlocks(t *testing.T) {
+	onVecPaths(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 2, 5, 8, 9, 130, 131, 1000} {
+			hits := make([]int32, n)
+			var misaligned atomic.Int32
+			parallelKernel(n, func(_, _, _ *Mat, lo, hi int) {
+				if lo%4 != 0 {
+					misaligned.Add(1)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			}, nil, nil, nil)
+			if m := misaligned.Load(); useAVX512 && m != 0 {
+				t.Errorf("n=%d: %d chunks start off a 4-row boundary", n, m)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d: row %d visited %d times", n, i, h)
+				}
+			}
+		}
+	})
+}
+
 func TestRunTasksRunsEachIndexOnce(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 8} {
 		hits := make([]int32, k)

@@ -1,10 +1,12 @@
 package tensor
 
-// The vector kernels: the exact kernels of mat.go rebuilt on one row
-// primitive, rowMulAddAVX2, which computes eight output columns per
-// instruction. They run only when useAVX2 is set, and they give every
-// output element the float32 roundings of the Go kernels, which stay the
-// reference the tests compare them against.
+// The vector kernels: the exact kernels of mat.go rebuilt on one
+// primitive, mulAddRows. It runs four dst rows at a time on the AVX-512F
+// kernel mulAdd4AVX512 (sixteen columns per instruction) when useAVX512 is
+// set, and every other row one at a time on rowMulAddAVX2 (eight columns
+// per instruction). The vector kernels run only when useAVX2 is set, and
+// they give every output element the float32 roundings of the Go kernels,
+// which stay the reference the tests compare them against.
 
 // rowMulAdd computes d[j] += Σ_k a[k·astride]·b[k·ldb+j] for every column j
 // of d, where b is the kc×ldb matrix bm and len(d) == ldb. The terms of
@@ -41,30 +43,50 @@ func rowMulAdd(d, a []float32, astride int, bm *Mat, fromZero bool) {
 	}
 }
 
-// matMulAccVecRange is matMulAccRange on rowMulAdd: one call per row of a,
+// mulAddRows computes, for each of the rows dst rows r and every column j
+// of bm, d[r·n+j] += Σ_k a[r·lda+k·astride]·bm[k][j], n = bm.Cols, with
+// the terms and fromZero of rowMulAdd. On AVX-512 hosts the rows go four
+// at a time, so each b vector loaded serves four rows; the one to three
+// left over, and every row elsewhere, run one at a time on rowMulAdd.
+func mulAddRows(d, a []float32, lda, astride int, bm *Mat, rows int, fromZero bool) {
+	kc, n, b := bm.Rows, bm.Cols, bm.Data
+	r := 0
+	if useAVX512 && rows >= 4 && n > 0 {
+		// The assembly checks no bounds, so check its last reads here.
+		// With kc = 0 it reads no a, which may then be empty.
+		blocks := rows &^ 3
+		_ = d[blocks*n-1]
+		if kc > 0 {
+			_ = a[(blocks-1)*lda+(kc-1)*astride]
+			_ = b[kc*n-1]
+		}
+		for ; r < blocks; r += 4 {
+			mulAdd4AVX512(d[r*n:], a[min(r*lda, len(a)):], b, kc, n, lda, astride, fromZero)
+		}
+	}
+	for ; r < rows; r++ {
+		rowMulAdd(d[r*n:(r+1)*n], a[min(r*lda, len(a)):], astride, bm, fromZero)
+	}
+}
+
+// matMulAccVecRange is matMulAccRange on mulAddRows: the rows of a,
 // accumulating straight into dst.
 func matMulAccVecRange(dst, a, b *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rowMulAdd(dst.Row(i), a.Row(i), 1, b, false)
-	}
+	mulAddRows(dst.Data[lo*b.Cols:], a.Data[lo*a.Cols:], a.Cols, 1, b, hi-lo, false)
 }
 
-// matMulATransBVecRange is matMulATransBAccRange on rowMulAdd: dst row k
+// matMulATransBVecRange is matMulATransBAccRange on mulAddRows: dst row k
 // walks column k of a, and its sums start from +0.
 func matMulATransBVecRange(dst, a, b *Mat, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		// Column k starts at a.Data[k]; a with no rows has no data to slice.
-		rowMulAdd(dst.Row(k), a.Data[min(k, len(a.Data)):], a.Cols, b, true)
-	}
+	// Column k starts at a.Data[k]; a with no rows has no data to slice.
+	mulAddRows(dst.Data[lo*b.Cols:], a.Data[min(lo, len(a.Data)):], 1, a.Cols, b, hi-lo, true)
 }
 
-// matMulABTransVecRange is matMulABTransRange on rowMulAdd, given bt = bᵀ:
+// matMulABTransVecRange is matMulABTransRange on mulAddRows, given bt = bᵀ:
 // the dot product of a row of a and a row of b becomes a walk down a
 // column of bt, and its sums start from +0.
 func matMulABTransVecRange(dst, a, bt *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rowMulAdd(dst.Row(i), a.Row(i), 1, bt, true)
-	}
+	mulAddRows(dst.Data[lo*bt.Cols:], a.Data[lo*a.Cols:], a.Cols, 1, bt, hi-lo, true)
 }
 
 // transposeInto stores bᵀ in t, which must be b.Cols×b.Rows.

@@ -131,7 +131,8 @@ func (m *Model) workerCount(batch int) int {
 }
 
 // newReplica builds the shadow model for worker id (1-based): it shares the
-// master's weights and vocabulary, owns its gradient buffers, and draws
+// master's weights and vocabulary, owns its gradient buffers (allocated by
+// its first training batch, so serving replicas carry none), and draws
 // dropout masks and negative samples from an independent stream seeded
 // Seed+id so shards never contend on — or reorder draws from — a shared RNG.
 func (m *Model) newReplica(id int) *Model {
@@ -280,6 +281,12 @@ func (m *Model) TrainBatch(seqs []batchToken, pagePos, offPos [][]int, pageW, of
 		return loss
 	}
 	m.ensureReplicas(n)
+	for _, r := range m.replicas[:n-1] {
+		// A replica built for serving has no gradient buffers yet.
+		for _, p := range r.params.All() {
+			p.EnsureGrad()
+		}
+	}
 	bounds := shardBounds(batch, n)
 	losses := make([]float32, n)
 	tensor.RunTasks(n, func(w int) {

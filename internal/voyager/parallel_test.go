@@ -221,6 +221,76 @@ func predictAllInRows(p *Predictor, w *Model, want [][]Candidate, rows int) erro
 	return nil
 }
 
+// InferenceWorkers builds replicas that only run inference, so they must
+// carry no gradient buffers, which are as large as the weights.
+func TestInferenceWorkersCarryNoGrads(t *testing.T) {
+	tr := cyclicTrace([]uint64{0x10<<6 | 5, 0x22<<6 | 61, 0x15<<6 | 0, 0x9<<6 | 33}, 100)
+	cfg := FastConfig()
+	cfg.Workers = 1
+	h, err := NewBenchHarness(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := h.p.Model.InferenceWorkers(4)
+	for w, r := range workers[1:] {
+		for _, p := range r.Params().All() {
+			if p.Grad != nil {
+				t.Errorf("replica %d: %s holds a %dx%d gradient buffer", w+1, p.Name, p.Grad.Rows, p.Grad.Cols)
+			}
+		}
+	}
+}
+
+// Replicas that served through InferenceWorkers before the model trains get
+// their gradient buffers on the first sharded batch, and serving draws
+// nothing from their RNG streams, so training must match, loss for loss
+// and weight for weight, a model whose replicas were built by training.
+func TestTrainAfterInferenceWorkersMatchesTrain(t *testing.T) {
+	cycle := []uint64{0x10<<6 | 5, 0x22<<6 | 61, 0x15<<6 | 0, 0x9<<6 | 33}
+	tr := cyclicTrace(cycle, 300)
+	cfg := FastConfig()
+	cfg.EpochAccesses = 400
+	cfg.Workers = 4
+	run := func(serveFirst bool) ([]float32, *BenchHarness) {
+		h, err := NewBenchHarness(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serveFirst {
+			positions := make([]int, h.p.NumAccesses())
+			for i := range positions {
+				positions[i] = i
+			}
+			want := h.p.PredictAt(positions, cfg.Degree)
+			for _, w := range h.p.Model.InferenceWorkers(cfg.Workers) {
+				if err := predictAllInRows(h.p, w, want, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var losses []float32
+		for i := 0; i < 3; i++ {
+			losses = append(losses, h.TrainStep())
+		}
+		return losses, h
+	}
+	wantLoss, wantH := run(false)
+	gotLoss, gotH := run(true)
+	for i := range wantLoss {
+		if gotLoss[i] != wantLoss[i] {
+			t.Fatalf("step %d: loss %v after serving, %v without (must be identical)", i, gotLoss[i], wantLoss[i])
+		}
+	}
+	want, got := wantH.p.Model.Params().All(), gotH.p.Model.Params().All()
+	for i, p := range want {
+		for j, v := range p.W.Data {
+			if math.Float32bits(got[i].W.Data[j]) != math.Float32bits(v) {
+				t.Fatalf("%s[%d]: %v after serving, %v without", p.Name, j, got[i].W.Data[j], v)
+			}
+		}
+	}
+}
+
 // WorkersAuto and explicit widths must validate; nonsense must not.
 func TestWorkersValidation(t *testing.T) {
 	cfg := FastConfig()

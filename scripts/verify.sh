@@ -38,6 +38,17 @@ if [ -n "$bad" ]; then
 fi
 echo "act.go: fused instructions only on math.FMA lines ($(echo $fused_lines | wc -w) lines)"
 
+# The exact matmul kernels round each product and each sum on its own, as
+# the Go kernels do, so their assembly must hold no fused multiply-add. This
+# is the only check of the AVX-512 file on a host without AVX-512F, where
+# the tests cannot run it. act_amd64.s is exempt: its fused steps are part
+# of exp64's contract.
+echo "== no fused multiply-add in the matmul assembly"
+if grep -nE 'VF(N?MADD|N?MSUB)' internal/tensor/avx2_amd64.s internal/tensor/avx512_amd64.s; then
+  echo "matmul assembly: fused multiply-add found (each term must be VMULPS then VADDPS)"
+  exit 1
+fi
+
 # testdata holds analyzer fixtures: inputs to the analyzers, not code the
 # build compiles.
 echo "== gofmt"
