@@ -8,8 +8,9 @@
 // seeded Seed+workerID. The analyzer reports:
 //
 //   - *rand.Rand variables (including struct fields like m.rng) referenced
-//     inside a function literal launched by a `go` statement or handed to
-//     the tensor worker pool via RunTasks;
+//     inside a function literal launched by a `go` statement, handed to
+//     the tensor worker pool via RunTasks, or passed to Tape.Fork as a
+//     body that may run on a child goroutine;
 //   - package-level *rand.Rand variables, which are de-facto shared state.
 //
 // Code that provably selects a per-worker stream inside the closure can
@@ -28,6 +29,7 @@ type launcher struct{ pkg, name string }
 
 var launchers = []launcher{
 	{"voyager/internal/tensor", "RunTasks"},
+	{"voyager/internal/tensor", "Fork"}, // (*Tape).Fork: bodies may run concurrently
 }
 
 // New returns the analyzer. Extra launchers may be given as

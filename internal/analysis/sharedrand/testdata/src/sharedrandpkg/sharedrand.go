@@ -37,6 +37,12 @@ func poolCapture(rng *rand.Rand, out []float64) {
 	})
 }
 
+func forkCapture(m *model, tp *tensor.Tape, out []float64) {
+	tp.Fork(len(out), 0, func(i int, c *tensor.Tape) {
+		out[i] = m.rng.Float64() // want "\\*rand.Rand field rng captured by closure launched via Fork"
+	})
+}
+
 func perWorkerStreams(seed int64, out []float64) {
 	tensor.RunTasks(len(out), func(w int) {
 		rng := rand.New(rand.NewSource(seed + int64(w))) // local stream: fine

@@ -232,7 +232,9 @@ func (l *LSTM) ZeroState(tp *tensor.Tape, batch int) State {
 // previous state, returning the new state. It records two tape nodes: the
 // gate projection x·Wx + h·Wh + b as one tensor.LSTMGates node, and the
 // activations, cell update and hidden output as one tensor.LSTMCell node.
-// Both are bit-identical to StepUnfused's node chain.
+// Both are bit-identical to StepUnfused's node chain. Either way x is read
+// by one op (LSTMGates, or StepUnfused's first MatMul), so x may be a fork
+// child's Input leaf (tensor.Tape.Fork).
 func (l *LSTM) Step(tp *tensor.Tape, x *tensor.Node, s State) State {
 	if l.Unfused {
 		return l.StepUnfused(tp, x, s)

@@ -69,12 +69,36 @@ func TestArenaSteadyStateAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, step); allocs > 8 {
 		t.Fatalf("steady-state tape step allocates %v times, want ≤8 (closures only)", allocs)
 	}
+
+	// Reset recycles the child tapes' arenas too. The children record 2
+	// ops each and the parent 4 plus the join, so 9 closures; a child
+	// arena that kept allocating would add some 5 matrices per child.
+	var y *Node
+	var hs [2]*Node
+	body := func(i int, c *Tape) {
+		wn := c.Param(w)
+		wn.Grad = grad
+		hs[i] = c.Tanh(c.MatMul(c.Input(y), wn))
+	}
+	forkStep := func() {
+		tp.Reset()
+		grad.Zero()
+		wn := tp.Param(w)
+		wn.Grad = grad
+		y = tp.Tanh(tp.MatMul(tp.Const(x), wn))
+		tp.Fork(2, 0, body)
+		tp.Backward(tp.MeanAll(tp.Add(hs[0], hs[1])))
+	}
+	forkStep()
+	if allocs := testing.AllocsPerRun(10, forkStep); allocs > 10 {
+		t.Fatalf("steady-state forked step allocates %v times, want ≤10 (closures only)", allocs)
+	}
 }
 
 // On a NoGrad tape every op checks its inputs before building a backward
-// closure, so a warm forward pass through all of them allocates nothing and
-// records nothing, yet computes the same bits as a training tape. Reset
-// turns the tape back into a training tape.
+// closure, so a warm forward pass through all of them, and through an
+// inline Fork, allocates nothing and records nothing, yet computes the same
+// bits as a training tape. Reset turns the tape back into a training tape.
 func TestNoGradTapeAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := randMat(rng, 4, 8)
@@ -83,25 +107,34 @@ func TestNoGradTapeAllocatesNothing(t *testing.T) {
 	mask := randMat(rng, 4, 8)
 	targets := []int{0, 3, 5, 7}
 	tp := NewTape()
-	var outs [6]*Node
+	var outs [8]*Node
+	// The fork's children run an LSTM step each on the parent's y; on a
+	// NoGrad tape they record nothing and the parent records no join.
+	var y *Node
+	body := func(i int, c *Tape) {
+		yc := c.Input(y)
+		g := c.LSTMGates(yc, c.Param(w), yc, c.Param(w), c.Param(bias))
+		outs[6+i], _ = c.LSTMCell(c.ConcatCols(g, g, g, g), yc)
+	}
 	forward := func(noGrad bool) {
 		tp.Reset()
 		tp.NoGrad = noGrad
-		y := tp.AddBias(tp.MatMul(tp.Const(x), tp.Param(w)), tp.Param(bias))
+		y = tp.AddBias(tp.MatMul(tp.Const(x), tp.Param(w)), tp.Param(bias))
 		y = tp.LSTMGates(tp.Const(x), tp.Param(w), y, tp.Param(w), tp.Param(bias))
 		y = tp.Add(tp.Mul(tp.Sigmoid(y), tp.Tanh(y)), tp.ReLU(tp.Scale(y, 0.5)))
 		y = tp.DropoutMask(y, mask)
 		h, c := tp.LSTMCell(tp.ConcatCols(y, y, y, y), y)
 		att, _ := tp.MoEAttention(tp.SliceCols(h, 0, 2), c, 0.5)
 		ce, _ := tp.SoftmaxCrossEntropy(y, targets)
-		outs = [6]*Node{h, c, att, tp.MeanAll(att), tp.SumAll(c), ce}
+		tp.Fork(2, 0, body)
+		outs[0], outs[1], outs[2], outs[3], outs[4], outs[5] = h, c, att, tp.MeanAll(att), tp.SumAll(c), ce
 	}
 
 	forward(false)
 	if tp.Len() == 0 {
 		t.Fatal("training tape recorded nothing")
 	}
-	var want [6][]float32
+	var want [8][]float32
 	for i, n := range outs {
 		want[i] = append([]float32(nil), n.Val.Data...)
 	}

@@ -5,24 +5,24 @@ import (
 	"sync"
 )
 
-// The package keeps one persistent worker pool shared by every kernel (and,
-// through RunTasks, by higher-level shard orchestration). Spawning a fresh
-// goroutine per matmul call — the seed implementation's strategy — costs a
-// scheduler round-trip on every hot-path kernel; the pool pays that cost
-// once at startup and then dispatches chunks over a channel.
+// The package keeps one persistent worker pool shared by every kernel.
+// Spawning a fresh goroutine per matmul call — the seed implementation's
+// strategy — costs a scheduler round-trip on every hot-path kernel; the
+// pool pays that cost once at startup and then dispatches chunks over a
+// channel. Coarse tasks that may block (data-parallel shards, Tape.Fork's
+// children) run through RunTasks on fresh goroutines instead.
 //
 // Pool tasks must be leaves: a task may not block on other pool tasks.
 // Kernels satisfy this by construction (a chunk is pure computation), which
 // is what makes the shared pool deadlock-free even when many goroutines
 // submit concurrently.
 
-// chunkTask is one contiguous [lo, hi) slice of a parallel loop. Matmul
-// kernels ship as a top-level kernel function plus its three matrix operands
+// chunkTask is one contiguous [lo, hi) row range of a matmul kernel. It
+// ships as a top-level kernel function plus its three matrix operands
 // (kern/dst/a/b) instead of a capturing closure: a closure would be a fresh
 // heap allocation on every kernel dispatch, and the steady-state matmul
 // budget is zero allocations (see TestMatMulKernelsAllocFree).
 type chunkTask struct {
-	fn     func(lo, hi int)
 	kern   matKernel
 	dst    *Mat
 	a, b   *Mat
@@ -49,11 +49,7 @@ func startPool() {
 	for i := 0; i < n; i++ {
 		go func() {
 			for t := range poolTasks {
-				if t.kern != nil {
-					t.kern(t.dst, t.a, t.b, t.lo, t.hi)
-				} else {
-					t.fn(t.lo, t.hi)
-				}
+				t.kern(t.dst, t.a, t.b, t.lo, t.hi)
 				t.wg.Done()
 			}
 		}()
@@ -67,40 +63,19 @@ func PoolWorkers() int {
 	return poolSize
 }
 
-// Parallel splits [0, n) into contiguous chunks and runs fn on each using
-// the shared worker pool, blocking until all chunks complete. The calling
-// goroutine executes the first chunk itself, so a single-chunk split never
-// touches the pool. fn must not submit further pool work.
-func Parallel(n int, fn func(lo, hi int)) {
-	poolOnce.Do(startPool)
-	chunks := poolSize
-	if chunks > n {
-		chunks = n
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		poolTasks <- chunkTask{fn: fn, lo: lo, hi: hi, wg: &wg}
-	}
-	fn(0, chunk)
-	wg.Wait()
-}
-
-// RunTasks runs k independent tasks on the shared pool, blocking until all
-// complete; task i receives its index. Unlike Parallel's chunk tasks, these
-// tasks MAY themselves call Parallel: RunTasks executes them on fresh
-// goroutines rather than pool workers, so pool workers never block waiting
-// for other pool work. Used for coarse-grained shard fan-out (one task per
-// minibatch shard).
+// RunTasks runs k independent tasks, blocking until all complete; task i
+// receives its index. Task 0 runs on the caller and tasks 1..k-1 on fresh
+// goroutines rather than pool workers, so a task may itself run pooled
+// kernels, RunTasks or a concurrent Tape.Fork: pool workers never block
+// waiting for other pool work. Used for coarse-grained fan-out: one task
+// per minibatch shard, one per concurrent fork child.
+//
+// The caller yields once after the spawns. A new goroutine is readied on
+// the caller's own P, where another P wakes too slowly to steal it, so
+// without the yield it would mostly start only once task 0 is done and
+// the caller blocks. Yielding puts the caller in the global run queue,
+// which the woken P checks first: the spawned task starts on this thread
+// and the caller resumes on the other (DESIGN §5.6).
 func RunTasks(k int, task func(i int)) {
 	if k <= 1 {
 		if k == 1 {
@@ -116,6 +91,7 @@ func RunTasks(k int, task func(i int)) {
 			task(i)
 		}(i)
 	}
+	runtime.Gosched()
 	task(0)
 	wg.Wait()
 }
@@ -127,10 +103,9 @@ var wgScratch = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // parallelKernel splits [0, n) across the shared pool and runs the kernel on
 // each chunk with the given operands, blocking until all chunks complete.
-// Unlike Parallel it takes the kernel as a top-level function plus operands,
-// so dispatch allocates nothing (no capturing closure); the calling
-// goroutine runs the first chunk itself, and a single-chunk split never
-// touches the pool.
+// It takes the kernel as a top-level function plus operands, so dispatch
+// allocates nothing (no capturing closure); the calling goroutine runs the
+// first chunk itself, and a single-chunk split never touches the pool.
 //
 //hot:path
 func parallelKernel(n int, kern matKernel, dst, a, b *Mat) {

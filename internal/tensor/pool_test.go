@@ -101,22 +101,6 @@ func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
-func TestParallelCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
-		hits := make([]int32, n)
-		Parallel(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
-
 // TestParallelKernelChunksWholeBlocks checks, on every vector path the
 // host runs, that parallelKernel covers [0, n) once, and on the AVX-512
 // path in chunks that start on a 4-row boundary, so mulAdd4AVX512's blocks
@@ -159,16 +143,18 @@ func TestRunTasksRunsEachIndexOnce(t *testing.T) {
 	}
 }
 
-// Tasks started by RunTasks may themselves use the pool via Parallel; the
-// combination must not deadlock (pool workers only ever run leaf chunks).
+// Tasks started by RunTasks, and the children of a concurrent Fork (which
+// run on RunTasks), may themselves run pooled kernels; the combination must
+// not deadlock (pool workers only ever run leaf chunks).
 func TestNestedRunTasksParallelNoDeadlock(t *testing.T) {
-	var total int64
-	RunTasks(8, func(i int) {
-		Parallel(1000, func(lo, hi int) {
-			atomic.AddInt64(&total, int64(hi-lo))
-		})
+	var total atomic.Int64
+	count := func(_, _, _ *Mat, lo, hi int) { total.Add(int64(hi - lo)) }
+	RunTasks(8, func(int) { parallelKernel(1000, count, nil, nil, nil) })
+	NewTape().Fork(4, forkThreshold, func(int, *Tape) {
+		parallelKernel(1000, count, nil, nil, nil)
+		RunTasks(2, func(int) { parallelKernel(1000, count, nil, nil, nil) })
 	})
-	if total != 8000 {
-		t.Fatalf("total %d want 8000", total)
+	if got := total.Load(); got != 20000 {
+		t.Fatalf("total %d want 20000", got)
 	}
 }

@@ -77,15 +77,17 @@ func (q *Q8Mat) RequantizeFrom(w *tensor.Mat) {
 			continue
 		}
 		q.Scale[j] = scale
+		// Each code is the nearest integer to w/scale against the stored
+		// scale, halves away from zero. The quotient is taken in float64:
+		// w·(127/mx) in float32 strays from it by a rounding or two, enough
+		// near a half step to pick the neighbouring code and break the
+		// |ŵ−w| ≤ scale/2 bound. Two float32s never sit closer to a half
+		// step than float64 resolves, and |w| ≤ mx keeps the code within
+		// ±127 up to scale's own rounding, which the clamp absorbs.
+		s64 := float64(scale)
 		for i := 0; i < q.Rows; i++ {
-			v := w.Data[i*n+j] * inv
-			// Round half away from zero; v is already clamped to ±127 by
-			// construction (|w| ≤ mx).
-			if v >= 0 {
-				q.Data[i*n+j] = int8(v + 0.5)
-			} else {
-				q.Data[i*n+j] = int8(v - 0.5)
-			}
+			c := math.Round(float64(w.Data[i*n+j]) / s64)
+			q.Data[i*n+j] = int8(max(-127, min(127, c)))
 		}
 	}
 }

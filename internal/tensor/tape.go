@@ -76,15 +76,35 @@ type Tape struct {
 	// tracks every matrix handed out since the last Reset.
 	free map[int][]*Mat
 	used []*Mat
+
+	// Fork state. kids are this tape's child tapes, built on first use and
+	// kept across Resets; kids[:kidCur] have recorded a body since the last
+	// Reset. On a child, parent is the forking tape and inputs are the
+	// Input leaves that need a gradient, paired with the parent nodes they
+	// stand for.
+	kids   []*Tape
+	kidCur int
+	parent *Tape
+	inputs []forkInput
 }
+
+// forkInput pairs a child tape's Input leaf with the parent node it reads.
+type forkInput struct{ leaf, src *Node }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
 // Reset discards all recorded operations, clears NoGrad and recycles every
-// arena matrix handed out since the previous Reset, retaining capacity.
-// Nodes and matrices obtained from this tape must not be used after Reset.
+// arena matrix handed out since the previous Reset, retaining capacity; it
+// resets the child tapes of every Fork since then the same way. Nodes and
+// matrices obtained from this tape or its children must not be used after
+// Reset.
 func (t *Tape) Reset() {
+	for _, c := range t.kids[:t.kidCur] {
+		c.Reset()
+	}
+	t.kidCur = 0
+	t.inputs = t.inputs[:0]
 	t.nodes = t.nodes[:0]
 	t.NoGrad = false
 	t.nodeCur = 0
@@ -211,6 +231,116 @@ func (t *Tape) Custom(val *Mat, requiresGrad bool, back func(out *Node)) *Node {
 		t.nodes = append(t.nodes, n)
 	}
 	return n
+}
+
+// ---------------------------------------------------------------------------
+// Fork/join: independent bodies recorded side by side on child tapes.
+// ---------------------------------------------------------------------------
+
+// forkThreshold is the multiply-accumulate work per child below which Fork
+// runs its children inline. A concurrent child starts some 0.03-0.13 ms
+// after the fork on a 2-vCPU host (DESIGN §5.6), about the forward time
+// of a 2M-MAC LSTM chain on that host's AVX-512 kernels. In one probe at
+// hidden 64, a training step over 16 rows (2.6M MACs a chain) ran ~1.15x
+// faster forked, one over 8 rows (1.3M) no faster. Sized like
+// parallelThreshold: the offline pipeline's 128-row chains (20M) lie far
+// above it, FastConfig's 32-row chains (0.8M) and serving's 1-2-row
+// predicts below.
+const forkThreshold = 1 << 21
+
+// joinMat is the value and gradient of every join node. A join has
+// neither, but backwardFrom runs only nodes that hold a gradient.
+var joinMat = &Mat{}
+
+// Fork records k independent bodies, body(i, c) for child tape c = 0..k-1,
+// and joins them into this tape. A body reads nodes of this tape only
+// through c.Input and records its ops on c; its result nodes (kept by the
+// caller, e.g. in variables the body writes) are ordinary inputs to later
+// ops on this tape. Children belong to this tape: built on first use,
+// reused, and reset with it. They inherit NoGrad and record no spans.
+//
+// work is the multiply-accumulate count of one body. When k > 1 and work ≥
+// forkThreshold, child 0 runs on the caller and the others on RunTasks'
+// goroutines, forward here and backward in the join; otherwise all run
+// inline, one after the other. A caller that already spreads work over
+// every CPU (a data-parallel shard, one serving batcher per CPU) passes 0.
+// Bodies that run concurrently must share no mutable state beyond what
+// they own; each child's ops touch only its own arena.
+//
+// If any child recorded a node, Fork records one join node here. Its
+// backward runs each child's backward pass, then adds each Input leaf's
+// gradient into its parent node: children from the last to the first, and
+// within a child, leaves from the last Input to the first. That is the
+// order in which one tape would add the gradients of the same reads, had
+// it recorded body 0's reads of parent nodes (in Input order), then body
+// 1's, and so on, and the bits match under one condition: each Input leaf
+// is read by exactly one op, whose backward adds into the leaf's gradient
+// once a sum that starts at +0. MatMul and LSTMGates do (through
+// MatMulABTransAcc). Such a sum is never -0, so the zeroed leaf buffer
+// holds it exactly, and adding it into the parent node later is the same
+// single add in the same order. A leaf read by two ops would round their
+// two sums together first; a body that reads a parent node twice takes
+// two Inputs.
+func (t *Tape) Fork(k, work int, body func(i int, c *Tape)) {
+	for len(t.kids) < t.kidCur+k {
+		t.kids = append(t.kids, &Tape{parent: t})
+	}
+	kids := t.kids[t.kidCur : t.kidCur+k]
+	t.kidCur += k
+	for _, c := range kids {
+		c.NoGrad = t.NoGrad
+	}
+	concurrent := k > 1 && work >= forkThreshold
+	eachChild(kids, concurrent, body)
+	for _, c := range kids {
+		if len(c.nodes) > 0 {
+			n := t.record(joinMat, func(*Node) { joinBackward(kids, concurrent) })
+			n.Grad = joinMat
+			return
+		}
+	}
+}
+
+// eachChild runs f on every child, concurrently through RunTasks or
+// inline in index order.
+func eachChild(kids []*Tape, concurrent bool, f func(i int, c *Tape)) {
+	if !concurrent {
+		for i, c := range kids {
+			f(i, c)
+		}
+		return
+	}
+	RunTasks(len(kids), func(i int) { f(i, kids[i]) })
+}
+
+// joinBackward is a join node's backward: the children's backward passes,
+// then the merge of their input gradients in reverse recording order.
+func joinBackward(kids []*Tape, concurrent bool) {
+	eachChild(kids, concurrent, childBackward)
+	for i := len(kids) - 1; i >= 0; i-- {
+		ins := kids[i].inputs
+		for j := len(ins) - 1; j >= 0; j-- {
+			if g := ins[j].leaf.Grad; g != nil {
+				ins[j].src.ensureGrad().AddInPlace(g)
+			}
+		}
+	}
+}
+
+func childBackward(_ int, c *Tape) { c.backwardFrom() }
+
+// Input returns a leaf on t, a Fork child, that stands for n, a node of
+// t's parent: the same value and requiresGrad, with its own gradient
+// buffer from t's arena, which the join adds into n's (see Fork).
+func (t *Tape) Input(n *Node) *Node {
+	if t.parent == nil || n.tape != t.parent {
+		panic("tensor: Input needs a child tape and a node of its parent")
+	}
+	leaf := t.Leaf(n.Val, n.requiresGrad)
+	if n.requiresGrad {
+		t.inputs = append(t.inputs, forkInput{leaf: leaf, src: n})
+	}
+	return leaf
 }
 
 // ---------------------------------------------------------------------------

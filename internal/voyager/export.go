@@ -100,10 +100,10 @@ func (b *TokenBatch) Add(pc, page, off []int32) {
 // the serving-path golden differential pins.
 //
 // The whole batch runs on the receiver's own tape and never shards across
-// replicas, whatever Config.Workers says: a server runs one batch per
-// inference worker at a time (InferenceWorkers), and the other replicas
-// belong to the other workers. Must be called from one goroutine at a time
-// per receiver.
+// replicas, whatever Config.Workers says, and its two LSTM chains run one
+// after the other: a server runs one batch per inference worker at a time
+// (InferenceWorkers), and the other replicas, and CPUs, belong to the
+// other workers. Must be called from one goroutine at a time per receiver.
 func (m *Model) PredictTokenBatch(b *TokenBatch, degree int) [][]Candidate {
 	if b.rows == 0 {
 		return nil
@@ -119,7 +119,7 @@ func (m *Model) PredictTokenBatch(b *TokenBatch, degree int) [][]Candidate {
 		// requantized and handed each of them the master's shadows.
 		m.ensureQuantHeads()
 	}
-	return m.predictShard(seqs, degree)
+	return m.predictShard(seqs, degree, true)
 }
 
 // InferenceWorkers returns n ≥ 1 models that share this model's weights and

@@ -60,8 +60,12 @@ func goldenRun(t *testing.T, workers int, unfused bool, reg *metrics.Registry,
 // TestGoldenEquivalenceFixedSeed locks end-to-end training to the values the
 // pre-optimization implementation produced: epoch losses and the FNV hash of
 // every prediction must match bit-for-bit at 1 and 4 workers, on both the
-// fused and the unfused LSTM path.
+// fused and the unfused LSTM path. At 1 worker the page and offset chains
+// run concurrently on their child tapes (forced: FastConfig's chains fall
+// below the cutoff); the shards of 4 workers run them inline.
 func TestGoldenEquivalenceFixedSeed(t *testing.T) {
+	forceConcurrentChains = true
+	t.Cleanup(func() { forceConcurrentChains = false })
 	for _, workers := range []int{1, 4} {
 		for _, unfused := range []bool{false, true} {
 			losses, h, _ := goldenRun(t, workers, unfused, nil, nil, nil)

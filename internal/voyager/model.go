@@ -69,6 +69,14 @@ type Model struct {
 	spans *trainSpans
 	tk    *tracing.Track
 
+	// xs holds the current batch's LSTM inputs x_0..x_{T-1} (tape nodes)
+	// while chainBody records the two chains over them on child tapes;
+	// chainH receives each chain's last hidden state. chainBody is the
+	// method value m.runChain, bound once so a fork allocates no closure.
+	xs        []*tensor.Node
+	chainH    [2]*tensor.Node
+	chainBody func(i int, c *tensor.Tape)
+
 	// Scratch buffers reused across batches by samplePageCols and topK;
 	// per-worker like the tape.
 	colOf      map[int]int
@@ -88,6 +96,7 @@ func NewModel(cfg Config, voc *vocab.Vocab) *Model {
 	m.spans = newTrainSpans(cfg.Trace)
 	m.tk = m.spans.workerTrack(0)
 	m.tape.Track = m.tk
+	m.chainBody = m.runChain
 	m.pcEmb = nn.NewEmbedding("emb.pc", voc.PCTokens(), cfg.PCEmbed, rng)
 	m.pageEmb = nn.NewEmbedding("emb.page", voc.PageTokens(), cfg.PageEmbed, rng)
 	m.offEmb = nn.NewEmbedding("emb.offset", vocab.OffsetTokens, cfg.OffsetEmbed(), rng)
@@ -147,6 +156,7 @@ func (m *Model) newReplica(id int) *Model {
 	}
 	r.tk = m.spans.workerTrack(id)
 	r.tape.Track = r.tk
+	r.chainBody = r.runChain
 	r.pcEmb = m.pcEmb.ShadowClone()
 	r.pageEmb = m.pageEmb.ShadowClone()
 	r.offEmb = m.offEmb.ShadowClone()
@@ -209,10 +219,25 @@ type batchToken struct {
 	pc, page, off []int
 }
 
+// forceConcurrentChains makes hidden run the two LSTM chains concurrently
+// whatever their size, unless the caller asked for inline. A test hook: the
+// unit-test configurations' chains fall below tensor's concurrency cutoff.
+var forceConcurrentChains bool
+
 // hidden runs the network up to the two LSTM hidden states (post-dropout).
-func (m *Model) hidden(tp *tensor.Tape, seqs []batchToken, train bool) (ph, oh *tensor.Node) {
-	pageState := m.pageLSTM.ZeroState(tp, len(seqs[0].page))
-	offState := m.offLSTM.ZeroState(tp, len(seqs[0].page))
+// It builds every timestep's input x_t first — lookups, offset attention,
+// concatenation and dropout, timestep by timestep, so the dropout masks
+// take their draws from m.rng in order and the embedding gradients still
+// accumulate from step T-1 down to 0 — and then forks: the page LSTM runs
+// over x_0..x_{T-1} on child tape 0 and the offset LSTM on child 1. Each
+// chain reads each x_t once (LSTM.Step), so the join adds their input
+// gradients with the bits of one tape recording the two steps of each
+// timestep, page first (tensor.Tape.Fork). The chains run concurrently
+// when they are large enough to pay for a goroutine start, unless inline
+// is set: callers that already spread work over every CPU (data-parallel
+// shards, serving's one batcher per CPU) run them one after the other.
+func (m *Model) hidden(tp *tensor.Tape, seqs []batchToken, train, inline bool) (ph, oh *tensor.Node) {
+	xs := m.xs[:0]
 	var lastX *tensor.Node
 	for _, tok := range seqs {
 		pageE := m.pageEmb.Lookup(tp, tok.page)
@@ -236,12 +261,19 @@ func (m *Model) hidden(tp *tensor.Tape, seqs []batchToken, train bool) (ph, oh *
 			x = tp.ConcatCols(pageE, offAware)
 		}
 		lastX = x
-		x = nn.Dropout(tp, x, m.cfg.DropoutKeep, m.rng, train)
-		pageState = m.pageLSTM.Step(tp, x, pageState)
-		offState = m.offLSTM.Step(tp, x, offState)
+		xs = append(xs, nn.Dropout(tp, x, m.cfg.DropoutKeep, m.rng, train))
 	}
-	ph = pageState.H
-	oh = offState.H
+	m.xs = xs
+	work := 0
+	if !inline {
+		// One chain's forward multiply-accumulates: per step x·Wx and h·Wh.
+		work = len(seqs[0].page) * (m.cfg.InputDim() + m.cfg.Hidden) * 4 * m.cfg.Hidden * len(seqs)
+		if forceConcurrentChains {
+			work = math.MaxInt
+		}
+	}
+	tp.Fork(2, work, m.chainBody)
+	ph, oh = m.chainH[0], m.chainH[1]
 	if m.cfg.HeadSkip {
 		// Skip connection: the trigger access's embeddings feed the heads
 		// directly alongside the LSTM state. This gives the heads a
@@ -255,6 +287,21 @@ func (m *Model) hidden(tp *tensor.Tape, seqs []batchToken, train bool) (ph, oh *
 	ph = nn.Dropout(tp, ph, m.cfg.DropoutKeep, m.rng, train)
 	oh = nn.Dropout(tp, oh, m.cfg.DropoutKeep, m.rng, train)
 	return ph, oh
+}
+
+// runChain records LSTM chain i over m.xs on child tape c: the page LSTM
+// for i = 0, the offset LSTM for i = 1. The two may run concurrently, so
+// each touches only its own LSTM, child tape and chainH slot.
+func (m *Model) runChain(i int, c *tensor.Tape) {
+	l := m.pageLSTM
+	if i == 1 {
+		l = m.offLSTM
+	}
+	s := l.ZeroState(c, m.xs[0].Val.Rows)
+	for _, x := range m.xs {
+		s = l.Step(c, c.Input(x), s)
+	}
+	m.chainH[i] = s.H
 }
 
 // TrainBatch runs one training step: forward, multi-label BCE loss on both
@@ -276,7 +323,7 @@ func (m *Model) TrainBatch(seqs []batchToken, pagePos, offPos [][]int, pageW, of
 	m.qDirty = true // weights are about to move; requantize at next predict
 	n := m.workerCount(batch)
 	if n <= 1 {
-		loss := m.trainShard(seqs, pagePos, offPos, pageW, offW, 1)
+		loss := m.trainShard(seqs, pagePos, offPos, pageW, offW, 1, false)
 		m.obs.recordTrainStep(&m.params, batch, len(seqs), loss)
 		return loss
 	}
@@ -297,7 +344,7 @@ func (m *Model) TrainBatch(seqs []batchToken, pagePos, offPos [][]int, pageW, of
 		frac := float32(hi-lo) / float32(batch)
 		losses[w] = frac * m.worker(w).trainShard(
 			sliceSeqs(seqs, lo, hi),
-			pagePos[lo:hi], offPos[lo:hi], pageW[lo:hi], offW[lo:hi], frac)
+			pagePos[lo:hi], offPos[lo:hi], pageW[lo:hi], offW[lo:hi], frac, true)
 	})
 	// Ordered reduce: worker 0 backpropagated straight into the shared
 	// params; fold the replicas in ascending worker index so the float32
@@ -322,14 +369,15 @@ func (m *Model) TrainBatch(seqs []batchToken, pagePos, offPos [][]int, pageW, of
 // trainShard runs forward and backward over one shard of a batch on this
 // worker's tape, RNG stream and gradient buffers. seedWeight scales the
 // backward seed (1 for the serial full-batch path, the shard's row fraction
-// when data-parallel) and the unweighted shard loss is returned.
-func (m *Model) trainShard(seqs []batchToken, pagePos, offPos [][]int, pageW, offW [][]float32, seedWeight float32) float32 {
+// when data-parallel) and the unweighted shard loss is returned. inline
+// runs the LSTM chains one after the other (see hidden).
+func (m *Model) trainShard(seqs []batchToken, pagePos, offPos [][]int, pageW, offW [][]float32, seedWeight float32, inline bool) float32 {
 	shardT := metrics.StartTimer(m.shardSec)
 	fwdT := metrics.StartTimer(m.obs.forwardSec)
 	fwdSp := m.tk.Begin("forward")
 	tp := m.tape
 	tp.Reset()
-	ph, oh := m.hidden(tp, seqs, true)
+	ph, oh := m.hidden(tp, seqs, true, inline)
 
 	var pageLoss *tensor.Node
 	vocabSize := m.voc.PageTokens()
@@ -419,7 +467,7 @@ func (m *Model) PredictBatch(seqs []batchToken, degree int) [][]Candidate {
 		m.ensureQuantHeads()
 	}
 	if n <= 1 {
-		return m.predictShard(seqs, degree)
+		return m.predictShard(seqs, degree, false)
 	}
 	m.ensureReplicas(n)
 	if m.cfg.QuantizedPredict {
@@ -434,7 +482,7 @@ func (m *Model) PredictBatch(seqs []batchToken, degree int) [][]Candidate {
 	// a disjoint slice of out.
 	tensor.RunTasks(n, func(w int) {
 		lo, hi := bounds[w], bounds[w+1]
-		copy(out[lo:hi], m.worker(w).predictShard(sliceSeqs(seqs, lo, hi), degree))
+		copy(out[lo:hi], m.worker(w).predictShard(sliceSeqs(seqs, lo, hi), degree, true))
 	})
 	return out
 }
@@ -457,14 +505,15 @@ func (m *Model) ensureQuantHeads() {
 	}
 }
 
-// predictShard runs inference for one shard of a batch.
-func (m *Model) predictShard(seqs []batchToken, degree int) [][]Candidate {
+// predictShard runs inference for one shard of a batch; inline runs the
+// LSTM chains one after the other (see hidden).
+func (m *Model) predictShard(seqs []batchToken, degree int, inline bool) [][]Candidate {
 	sp := m.tk.Begin("predict_shard")
 	defer sp.End()
 	tp := m.tape
 	tp.Reset()
 	tp.NoGrad = true
-	ph, oh := m.hidden(tp, seqs, false)
+	ph, oh := m.hidden(tp, seqs, false, inline)
 	var pageLogits, offLogits *tensor.Node
 	if m.cfg.QuantizedPredict {
 		pageLogits = m.qPageHead.Forward(tp, ph)

@@ -130,9 +130,11 @@ GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenEquivalenceFixedSeed' ./int
 echo "== go test -race (tensor, nn, metrics, tracing, voyager, trace, quality)"
 go test -race ./internal/tensor/ ./internal/nn/ ./internal/trace/ ./internal/metrics/ ./internal/tracing/ ./internal/serve/quality/
 # The full voyager suite under -race takes ~10 min of end-to-end training;
-# the concurrency surface is the parallel engine, so race-check the tests
-# that exercise sharded TrainBatch/PredictBatch plus one e2e training run.
-go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith' ./internal/voyager/
+# the concurrency surface is the parallel engine and the page/offset fork,
+# so race-check the tests that exercise sharded TrainBatch/PredictBatch,
+# one e2e training run, and the golden and offline-shape runs whose chains
+# run concurrently on child tapes.
+go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith|GoldenEquivalence|Fork' ./internal/voyager/
 # prefetchd's concurrency surface: many connection handlers against one
 # batcher per CPU, the session table under contention with the eviction
 # janitor, and the 100x start/stop goroutine-leak cycle. The golden
@@ -148,6 +150,12 @@ go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent|Batcher|Cr
 echo "== go test -race -count=10 (inference workers, batcher turn and start)"
 go test -race -count=10 -run 'TestInferenceWorkersConcurrentMatchPredictAt' ./internal/voyager/
 go test -race -count=10 -run 'TestBatchersStartOnFirstModelBatch|TestBatcherCoalescesQueuedRows' ./internal/serve/
+# Tape.Fork's children: two concurrent chains, each on its own child tape,
+# merged by the join into the parent's inputs, against one interleaved tape
+# and against hashes the single-tape model produced (~25 s).
+echo "== go test -race -count=10 (fork: child tapes, join merge)"
+go test -race -count=10 -run 'TestForkMatchesInterleavedTape|TestNestedRunTasksParallelNoDeadlock' ./internal/tensor/
+go test -race -count=10 -run 'TestForkOfflineShapeBitIdentical' ./internal/voyager/
 
 echo "== fuzz trace.Read + metrics.ParseSnapshot + quant converters + serve decoder (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
