@@ -93,7 +93,24 @@ func (a *Adam) stepSparse(p *Param, st *adamState) {
 	}
 }
 
+// updateSlice runs one Adam update over w: tensor.AdamUpdate takes the
+// elements it can on vector code, and updateScalar the rest, with the
+// same roundings.
 func (a *Adam) updateSlice(w, g, m, v []float32, bc1, bc2 float32) {
+	clip := a.Clip
+	if !(clip > 0) {
+		clip = float32(math.Inf(1)) // no clipping, as in updateScalar
+	}
+	n := tensor.AdamUpdate(w, g, m, v, &tensor.AdamCoeffs{
+		LR: a.LR, Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1, Beta2: a.Beta2,
+		OneMinusBeta2: 1 - a.Beta2, Eps: a.Eps, Clip: clip, BC1: bc1, BC2: bc2,
+	})
+	a.updateScalar(w[n:], g[n:], m[n:], v[n:], bc1, bc2)
+}
+
+// updateScalar is Adam's per-element update, and the reference the vector
+// code must match bit for bit.
+func (a *Adam) updateScalar(w, g, m, v []float32, bc1, bc2 float32) {
 	lr := a.LR
 	for i := range w {
 		gi := g[i]

@@ -1,8 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -154,6 +158,245 @@ func TestExpAVX2MatchesExp64(t *testing.T) {
 	}
 	flush()
 	m.done(9_000_000)
+}
+
+// TestLog1p64MatchesMathLog1p holds log1p64 to math.Log1p, bit for bit,
+// where gc fuses no multiply-add (amd64, 386) and math.Log1p is the Go
+// code log1p64 transcribes: special values, both sides of every branch
+// bound, the loss's inputs exp64(-|x|) over a stride of float32 x, and
+// random values and bit patterns.
+func TestLog1p64MatchesMathLog1p(t *testing.T) {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skip("gc may fuse math.log1p's multiply-adds on " + runtime.GOARCH)
+	}
+	m := &bitMatcher{t: t, name: "log1p64"}
+	check := func(x float64) { m.check(x, log1p64(x), math.Log1p(x)) }
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), 1, math.Inf(1), math.Inf(-1), math.NaN(), -2, -1e300,
+		math.Float64frombits(0x7ff8000000000001), math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 1 - 0x1p-53, 1 - 0x1p-52, 1 + 0x1p-52,
+	} {
+		check(x)
+	}
+	for _, b := range []float64{
+		-1, log1pSqrt2HalfM1, 0x1p-54, 0x1p-29, log1pSqrt2M1, 0x1p53, math.Sqrt2 - 1,
+		math.Sqrt2/2 - 1, 1, 2 - 0x1p-51,
+	} {
+		for _, x := range []float64{b, -b} {
+			lo, hi := x, x
+			for range 8 {
+				check(lo)
+				check(hi)
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			}
+		}
+	}
+	for b := uint64(0); b < 1<<31; b += 509 {
+		x := float64(math.Float32frombits(uint32(b)))
+		check(exp64(-x))
+	}
+	rng := rand.New(rand.NewSource(8))
+	for range 1_000_000 {
+		check(math.Float64frombits(rng.Uint64()))
+	}
+	for range 1_000_000 {
+		check(-1 + 3*rng.Float64())
+	}
+	for range 500_000 {
+		check(math.Ldexp(rng.Float64(), -rng.Intn(70)))
+	}
+	m.done(6_000_000)
+}
+
+// TestLog1pAVX2MatchesLog1p64 pins the vector log1p macro to log1p64 at
+// float64 precision over the range bceTermsAVX2 hands it, [2**-29, 1)
+// below its bound near 1: the 20,000 float64s on each side of the blended
+// branches' bounds (e at √2-1, 1 + e at √2) and of the range's ends, a
+// log-uniform and a uniform random sample, and a stride across the range. Few float32 inputs reach some of
+// these e, so the loss-term sweeps alone would not see a wrong blend there.
+func TestLog1pAVX2MatchesLog1p64(t *testing.T) {
+	requireActAsm(t)
+	m := &bitMatcher{t: t, name: "log1pAVX2"}
+	src := make([]float64, 0, 4096)
+	dst := make([]float64, 4096)
+	flush := func() {
+		log1pAVX2(dst, src)
+		for i, x := range src {
+			m.check(x, dst[i], log1p64(x))
+		}
+		src = src[:0]
+	}
+	add := func(x float64) {
+		if src = append(src, x); len(src) == cap(src) {
+			flush()
+		}
+	}
+	top := math.Float64frombits(0x3ffffffffffffffd) - 1 // first e whose 1 + e is the bound
+	for _, b := range []float64{log1pSqrt2M1, math.Sqrt2 - 1, 0x1p-29, 0.5, top} {
+		lo, hi := b, b
+		for range 20_000 {
+			if lo >= 0x1p-29 {
+				add(lo)
+			}
+			if hi < top {
+				add(hi)
+			}
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+		}
+	}
+	rng := rand.New(rand.NewSource(10))
+	for range 1_000_000 {
+		add(math.Ldexp(1+rng.Float64(), -1-rng.Intn(29)))
+	}
+	for range 1_000_000 {
+		if x := rng.Float64(); x >= 0x1p-29 && x < top {
+			add(x)
+		}
+	}
+	for i := range 3_000_000 {
+		add(0x1p-29 + float64(i)*(1.0/3_000_000))
+	}
+	for len(src)%4 != 0 {
+		add(0.25)
+	}
+	flush()
+	m.done(5_000_000)
+}
+
+// checkBCETermRow runs bceTermRow over src and compares every term with
+// bceTerm's, bit for bit.
+func checkBCETermRow(t *testing.T, src []float32) {
+	t.Helper()
+	dst := make([]float64, len(src)+1)
+	dst[len(src)] = 42
+	bceTermRow(dst, src)
+	for i, x := range src {
+		if got, want := dst[i], bceTerm(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("bceTermRow: element %d of %d: x = %v [%#08x]: got %v [%#x], want %v [%#x]",
+				i, len(src), x, math.Float32bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if dst[len(src)] != 42 {
+		t.Fatalf("bceTermRow wrote past %d elements", len(src))
+	}
+}
+
+// bceSpecials are inputs the loss-term assembly leaves to Go, and their
+// neighbours: non-finite values, |x| beyond 700, terms whose e =
+// exp64(-|x|) lies below 2**-29 (|x| above ~20.1), and terms whose 1 + e
+// lies within a few ulps of 2 (|x| below ~3.3e-16, zero and subnormals).
+var bceSpecials = []float32{
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), indefiniteNaN, 701, -750,
+	20.1, 20.2, -25, 90, 0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+	-math.SmallestNonzeroFloat32, 1e-16, 2e-16, 3e-16, 3.5e-16, 5e-16, 1e-15, -2e-16,
+}
+
+// TestBCETermRowMatchesScalar holds bceTermRow to bceTerm, bit for bit:
+// every length up to 19, each special input at every position of a row
+// (so the assembly meets it in every lane of a group and resumes after
+// it), every float32 around the branch bounds LOG1P4 blends, and a stride
+// over the non-negative float32 bit patterns (BenchmarkBCETermRowFullRange
+// checks all of them).
+func TestBCETermRowMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	t.Run("lengths", func(t *testing.T) {
+		for n := 0; n <= 19; n++ {
+			for range 50 {
+				row := make([]float32, n)
+				for i := range row {
+					row[i] = float32(rng.NormFloat64() * 4)
+				}
+				checkBCETermRow(t, row)
+			}
+		}
+	})
+	t.Run("specials", func(t *testing.T) {
+		row := make([]float32, 19)
+		for _, s := range bceSpecials {
+			for at := range row {
+				for i := range row {
+					row[i] = float32(rng.NormFloat64() * 4)
+				}
+				row[at] = s
+				if at+5 < len(row) {
+					row[at+5] = bceSpecials[rng.Intn(len(bceSpecials))]
+				}
+				checkBCETermRow(t, row)
+			}
+		}
+	})
+	t.Run("bounds", func(t *testing.T) {
+		// |x| near -ln(√2-1) (e at Sqrt2M1), near 29·ln 2 (e at 2**-29),
+		// near 700, and the tiny |x| where 1 + e reaches 2.
+		var row []float32
+		for _, c := range []float32{0.88137358, 20.101268, 700} {
+			x := c
+			for range 2000 {
+				x = math.Nextafter32(x, 0)
+			}
+			for range 4000 {
+				row = append(row, x, -x)
+				x = math.Nextafter32(x, math.MaxFloat32)
+			}
+		}
+		for x := float32(1e-17); x < 1e-14; x *= 1.0001 {
+			row = append(row, x)
+		}
+		checkBCETermRow(t, row)
+	})
+	t.Run("stride", func(t *testing.T) {
+		row := make([]float32, 0, 4093)
+		for b := uint32(0); b < 0x7f800000; b += 251 {
+			if row = append(row, math.Float32frombits(b)); len(row) == cap(row) {
+				checkBCETermRow(t, row)
+				row = row[:0]
+			}
+		}
+		checkBCETermRow(t, row)
+	})
+}
+
+// BenchmarkBCETermRowFullRange checks bceTermRow against bceTerm at every
+// non-negative float32 bit pattern, the NaNs and +Inf included, split
+// over GOMAXPROCS goroutines. It is a check, run once by scripts/verify.sh
+// with -benchtime 1x; its time is the sweep's.
+func BenchmarkBCETermRowFullRange(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		workers := runtime.GOMAXPROCS(0)
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		var failures []string
+		const chunk = 4096
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				src := make([]float32, chunk)
+				dst := make([]float64, chunk)
+				for base := uint64(w) * chunk; base < 1<<31; base += uint64(workers) * chunk {
+					for i := range src {
+						src[i] = math.Float32frombits(uint32(base) + uint32(i))
+					}
+					bceTermRow(dst, src)
+					for i, x := range src {
+						if want := bceTerm(x); math.Float64bits(dst[i]) != math.Float64bits(want) {
+							mu.Lock()
+							if len(failures) < 10 {
+								failures = append(failures, fmt.Sprintf("x = %v [%#08x]: got %#x, want %#x",
+									x, math.Float32bits(x), math.Float64bits(dst[i]), math.Float64bits(want)))
+							}
+							mu.Unlock()
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if len(failures) > 0 {
+			b.Fatalf("bceTermRow differs from bceTerm:\n%s", strings.Join(failures, "\n"))
+		}
+	}
 }
 
 // actRows pairs each row function with the scalar function it must match.

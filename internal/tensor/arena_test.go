@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,4 +188,47 @@ func TestArenaResetClearsRecording(t *testing.T) {
 	if tp.Len() != 0 {
 		t.Fatalf("len after Reset=%d, want 0", tp.Len())
 	}
+}
+
+// TestTransposeCacheMatchesPerCall holds the input gradients of a weight
+// read at every timestep, dx_t += dY_t·Wᵀ with Wᵀ built once per backward
+// pass (Tape.transposed), to the Go kernel reading W, bit for bit, on
+// every vector path. Between the two steps W moves in place, as the
+// optimizer moves it, and the second step must read the new W: the cache
+// goes at Reset, and every step builds Wᵀ once.
+func TestTransposeCacheMatchesPerCall(t *testing.T) {
+	onVecPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		const rows, k, n, steps = 9, 13, 20, 4
+		w := finiteSpecialMat(rng, k, n)
+		tp := NewTape()
+		for step := range 2 {
+			tp.Reset()
+			if len(tp.trans) != 0 {
+				t.Fatalf("step %d: %d transposes survive Reset", step, len(tp.trans))
+			}
+			var pre, seeds []*Mat
+			var nodes []*Node
+			for range steps {
+				x := tp.Param(randSpecialMat(rng, rows, k))
+				x.Grad = randSpecialMat(rng, rows, k)
+				y := tp.MatMul(x, tp.Const(w))
+				seed := randSpecialMat(rng, rows, n)
+				copy(y.EnsureGrad().Data, seed.Data)
+				pre, seeds, nodes = append(pre, x.Grad.Clone()), append(seeds, seed), append(nodes, x)
+			}
+			tp.BackwardFromSeed()
+			for i, x := range nodes {
+				want := pre[i]
+				matMulABTransRange(want, seeds[i], w, 0, rows)
+				matsBitIdentical(t, fmt.Sprintf("step %d dx_%d", step, i), x.Grad, want)
+			}
+			if useAVX2 && len(tp.trans) != 1 {
+				t.Fatalf("step %d: %d cached transposes, want 1", step, len(tp.trans))
+			}
+			for i := range w.Data {
+				w.Data[i] = w.Data[i]*0.5 + 0.25
+			}
+		}
+	})
 }

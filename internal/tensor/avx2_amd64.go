@@ -80,12 +80,42 @@ func sigmoidAVX2(dst, src []float32) int
 //go:noescape
 func tanhAVX2(dst, src []float32) int
 
+// adamAVX2 runs AdamUpdate's update for i below the last multiple of 8 in
+// len(w). len(g), len(m) and len(v) are at least len(w).
+//
+//go:noescape
+func adamAVX2(w, g, m, v []float32, k *AdamCoeffs)
+
+// lstmCellBackAVX2 runs lstmCellBackRow for j below the last multiple of 8
+// in hd = len(tc), given a gates gradient row gg. acts and gg hold 4·hd
+// elements, cprev, dh and dc hd, and cpg hd or none.
+//
+//go:noescape
+func lstmCellBackAVX2(gg, cpg, acts, tc, cprev, dh, dc []float32)
+
+// bceTermsAVX2 sets dst[i] = bceTerm(src[i]) for i in [0, n) and returns
+// n: the start of the first group of four that holds a NaN, an |x| over
+// 700, or an e = exp64(-|x|) outside LOG1P4's range (below 2**-29, or
+// within a few ulps of 1), or else the last multiple of 4 in len(src).
+// len(dst) >= len(src).
+//
+//go:noescape
+func bceTermsAVX2(dst []float64, src []float32) int
+
 // expAVX2 sets dst[i] = exp64(src[i]) for i below the last multiple of 4 in
 // len(src), every src[i] in [-700, 700]. It runs the macro sigmoidAVX2 and
 // tanhAVX2 are built on, so the tests can check it at float64 precision.
 //
 //go:noescape
 func expAVX2(dst, src []float64)
+
+// log1pAVX2 sets dst[i] = log1p64(src[i]) for i below the last multiple of
+// 4 in len(src), every src[i] in [2**-29, 1) with 1 + src[i] below
+// 2 - 3·2**-52. It runs the macro bceTermsAVX2 is built on, so the tests
+// can check it at float64 precision.
+//
+//go:noescape
+func log1pAVX2(dst, src []float64)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

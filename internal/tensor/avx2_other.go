@@ -26,3 +26,13 @@ func sigmoidAVX2(dst, src []float32) int { panic("tensor: sigmoidAVX2 without AV
 func tanhAVX2(dst, src []float32) int { panic("tensor: tanhAVX2 without AVX2") }
 
 func expAVX2(dst, src []float64) { panic("tensor: expAVX2 without AVX2") }
+
+func adamAVX2(w, g, m, v []float32, k *AdamCoeffs) { panic("tensor: adamAVX2 without AVX2") }
+
+func lstmCellBackAVX2(gg, cpg, acts, tc, cprev, dh, dc []float32) {
+	panic("tensor: lstmCellBackAVX2 without AVX2")
+}
+
+func log1pAVX2(dst, src []float64) { panic("tensor: log1pAVX2 without AVX2") }
+
+func bceTermsAVX2(dst []float64, src []float32) int { panic("tensor: bceTermsAVX2 without AVX2") }

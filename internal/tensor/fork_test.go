@@ -243,3 +243,56 @@ func TestForkJoinRecording(t *testing.T) {
 		t.Fatalf("NoGrad fork recorded %d nodes, want 0", tp.Len())
 	}
 }
+
+// TestForkChildTransposeCaches runs two concurrent children, each reading
+// its own weight at every timestep, over two steps with the weights moved
+// in place between them. Each child must cache only its own Wᵀ, the
+// parent none, and every input gradient must equal the Go kernel's on the
+// weight of that step; verify.sh runs it under -race -count=10.
+func TestForkChildTransposeCaches(t *testing.T) {
+	onVecPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		const rows, k, n, steps = 16, 24, 40, 3
+		ws := [2]*Mat{finiteSpecialMat(rng, k, n), finiteSpecialMat(rng, k, n)}
+		tp := NewTape()
+		for step := range 2 {
+			tp.Reset()
+			var xs [2][]*Node
+			var pres, seeds [2][]*Mat
+			for i := range ws {
+				for range steps {
+					x := tp.Param(randSpecialMat(rng, rows, k))
+					x.Grad = randSpecialMat(rng, rows, k)
+					xs[i] = append(xs[i], x)
+					pres[i] = append(pres[i], x.Grad.Clone())
+					seeds[i] = append(seeds[i], randSpecialMat(rng, rows, n))
+				}
+			}
+			tp.Fork(2, forkThreshold, func(i int, c *Tape) {
+				for s, x := range xs[i] {
+					y := c.MatMul(c.Input(x), c.Const(ws[i]))
+					copy(y.EnsureGrad().Data, seeds[i][s].Data)
+				}
+			})
+			tp.BackwardFromSeed()
+			if len(tp.trans) != 0 {
+				t.Fatalf("step %d: the parent cached %d transposes", step, len(tp.trans))
+			}
+			for i, c := range tp.kids[:2] {
+				if useAVX2 && (len(c.trans) != 1 || c.trans[0].src != ws[i]) {
+					t.Fatalf("step %d: child %d caches %d transposes, want its own weight's", step, i, len(c.trans))
+				}
+				for s, x := range xs[i] {
+					want := pres[i][s]
+					matMulABTransRange(want, seeds[i][s], ws[i], 0, rows)
+					matsBitIdentical(t, fmt.Sprintf("step %d child %d dx_%d", step, i, s), x.Grad, want)
+				}
+			}
+			for _, w := range ws {
+				for j := range w.Data {
+					w.Data[j] = w.Data[j]*0.5 - 0.125
+				}
+			}
+		}
+	})
+}

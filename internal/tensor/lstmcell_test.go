@@ -42,10 +42,17 @@ func TestGradLSTMCell(t *testing.T) {
 
 // TestLSTMCellMatchesUnfused drives the fused op and the node-per-op oracle
 // on identical inputs and demands bit-identical forward values and input
-// gradients — the house rule the whole PR is built on.
+// gradients — the house rule the whole PR is built on. Hidden sizes from
+// 7 straddle the backward's 8-lane vector groups and scalar tail.
 func TestLSTMCellMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	const batch, hd = 5, 7
+	for _, hd := range []int{7, 8, 9, 24, 64} {
+		t.Run(fmt.Sprint("hd", hd), func(t *testing.T) { checkLSTMCellMatchesUnfused(t, rng, hd) })
+	}
+}
+
+func checkLSTMCellMatchesUnfused(t *testing.T, rng *rand.Rand, hd int) {
+	const batch = 5
 	gatesVal := randMat(rng, batch, 4*hd)
 	cpVal := randMat(rng, batch, hd)
 	seed := randMat(rng, batch, hd)  // upstream dL/dh
@@ -83,6 +90,43 @@ func TestLSTMCellMatchesUnfused(t *testing.T) {
 	cmp("c", fc, uc)
 	cmp("dGates", fg, ug)
 	cmp("dCPrev", fcp, ucp)
+}
+
+// TestLSTMCellBackRowMatchesScalar holds one row of the fused cell's
+// backward, vector groups and scalar tail, to the scalar loop over the
+// whole row, bit for bit: hidden sizes around the 8-lane groups, with and
+// without cPrev's gradient, on inputs and pre-filled gradients with ±0,
+// subnormals, ±Inf and the default NaN.
+func TestLSTMCellBackRowMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, hd := range []int{1, 7, 8, 9, 24, 64} {
+		for _, withCPrev := range []bool{false, true} {
+			for trial := range 50 {
+				acts, tc := randSpecialMat(rng, 1, 4*hd).Data, randSpecialMat(rng, 1, hd).Data
+				cprev, dh, dc := randSpecialMat(rng, 1, hd).Data, randSpecialMat(rng, 1, hd).Data, randSpecialMat(rng, 1, hd).Data
+				if trial%2 == 0 {
+					// Finite activations, in [0, 1) for i and f and
+					// [-0.5, 0.5) for g and o, so fewer NaNs hide the
+					// gradients.
+					for i, v := range randMat(rng, 1, 4*hd).Data {
+						acts[i] = v*v/(1+v*v) - float32(i/(2*hd)%2)*0.5
+					}
+				}
+				gg0, cpg0 := randSpecialMat(rng, 1, 4*hd), randSpecialMat(rng, 1, hd)
+				gg, cpg := gg0.Clone(), cpg0.Clone()
+				wantGG, wantCPG := gg0.Clone(), cpg0.Clone()
+				var cpgRow, wantCPGRow []float32
+				if withCPrev {
+					cpgRow, wantCPGRow = cpg.Data, wantCPG.Data
+				}
+				lstmCellBackRow(gg.Data, cpgRow, acts, tc, cprev, dh, dc)
+				lstmCellBackScalar(wantGG.Data, wantCPGRow, acts, tc, cprev, dh, dc, 0)
+				name := fmt.Sprintf("hd %d cPrev %v trial %d", hd, withCPrev, trial)
+				matsBitIdentical(t, name+": gates gradient", gg, wantGG)
+				matsBitIdentical(t, name+": cPrev gradient", cpg, wantCPG)
+			}
+		}
+	}
 }
 
 // The fused cell must reject mismatched shapes.

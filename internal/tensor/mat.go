@@ -397,17 +397,23 @@ func MatMulABTransAcc(dst, a, b *Mat) {
 
 // matMulABTransAcc computes dst += a·bᵀ, parallelized across rows of a. The
 // vector kernel needs b's columns contiguous, so bᵀ is built once per call,
-// before the split, in a scratch matrix from tileScratch.
+// before the split, in a scratch matrix from tileScratch. A tape's
+// backward pass keeps each bᵀ instead (Tape.transposed).
 func matMulABTransAcc(dst, a, b *Mat) {
-	work := a.Rows * a.Cols * b.Rows
 	if !useAVX2 {
-		runKernel(matMulABTransRange, a.Rows, work, dst, a, b)
+		runKernel(matMulABTransRange, a.Rows, a.Rows*a.Cols*b.Rows, dst, a, b)
 		return
 	}
 	bt := scratchMat(b.Cols, b.Rows)
 	transposeInto(bt, b)
-	runKernel(matMulABTransVecRange, a.Rows, work, dst, a, bt)
+	matMulABTransVec(dst, a, bt)
 	releaseScratch(bt)
+}
+
+// matMulABTransVec computes dst += a·btᵀ on the vector kernels, given bt =
+// bᵀ, parallelized across rows of a.
+func matMulABTransVec(dst, a, bt *Mat) {
+	runKernel(matMulABTransVecRange, a.Rows, a.Rows*a.Cols*bt.Cols, dst, a, bt)
 }
 
 // tileScratch is a free list of scratch matrices: the per-goroutine

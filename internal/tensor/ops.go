@@ -141,6 +141,14 @@ func (t *Tape) SigmoidBCEWeighted(logits *Node, positives [][]int, weights [][]f
 		}
 		return b
 	}
+	// Numerically stable BCE with soft target y:
+	// loss = log(1+e^-|x|) + max(x,0) - x*y. bceTermRow writes each
+	// logit's log(1+e^-|x|) into terms; the loop adds the rest, applies
+	// the boost and accumulates one float64 sum in row-major order.
+	if cap(t.terms) < cols {
+		t.terms = make([]float64, cols)
+	}
+	terms := t.terms[:cols]
 	var total float64
 	for r := 0; r < rows; r++ {
 		prow := probs.Row(r)
@@ -148,18 +156,13 @@ func (t *Tape) SigmoidBCEWeighted(logits *Node, positives [][]int, weights [][]f
 		setTargets(r)
 		boost := posBoost(len(positives[r]))
 		sigmoidRow(prow, lrow)
+		bceTermRow(terms, lrow)
 		for c, x := range lrow {
-			// Numerically stable BCE with soft target y:
-			// loss = log(1+e^-|x|) + max(x,0) - x*y.
-			ax := float64(x)
-			if ax < 0 {
-				ax = -ax
-			}
-			l := math.Log1p(exp64(-ax))
+			l := terms[c]
 			if x > 0 {
 				l += float64(x)
 			}
-			l -= float64(x) * float64(target[c])
+			l -= float64(float64(x) * float64(target[c]))
 			if target[c] > 0 {
 				l *= float64(boost)
 			}

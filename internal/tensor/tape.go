@@ -77,6 +77,14 @@ type Tape struct {
 	free map[int][]*Mat
 	used []*Mat
 
+	// trans holds bᵀ, in arena matrices, for each b that a backward pass
+	// has multiplied by as a·bᵀ since the last Reset (see transposed).
+	trans []transposedMat
+
+	// terms is SigmoidBCEWeighted's float64 row of loss terms, kept
+	// across Resets.
+	terms []float64
+
 	// Fork state. kids are this tape's child tapes, built on first use and
 	// kept across Resets; kids[:kidCur] have recorded a body since the last
 	// Reset. On a child, parent is the forking tape and inputs are the
@@ -90,6 +98,9 @@ type Tape struct {
 
 // forkInput pairs a child tape's Input leaf with the parent node it reads.
 type forkInput struct{ leaf, src *Node }
+
+// transposedMat pairs a matrix with its transpose.
+type transposedMat struct{ src, t *Mat }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
@@ -105,6 +116,8 @@ func (t *Tape) Reset() {
 	}
 	t.kidCur = 0
 	t.inputs = t.inputs[:0]
+	clear(t.trans)
+	t.trans = t.trans[:0]
 	t.nodes = t.nodes[:0]
 	t.NoGrad = false
 	t.nodeCur = 0
@@ -275,8 +288,8 @@ var joinMat = &Mat{}
 // it recorded body 0's reads of parent nodes (in Input order), then body
 // 1's, and so on, and the bits match under one condition: each Input leaf
 // is read by exactly one op, whose backward adds into the leaf's gradient
-// once a sum that starts at +0. MatMul and LSTMGates do (through
-// MatMulABTransAcc). Such a sum is never -0, so the zeroed leaf buffer
+// once a sum that starts at +0. MatMul and LSTMGates do (through the
+// a·bᵀ kernels). Such a sum is never -0, so the zeroed leaf buffer
 // holds it exactly, and adding it into the parent node later is the same
 // single add in the same order. A leaf read by two ops would round their
 // two sums together first; a body that reads a parent node twice takes
@@ -354,17 +367,42 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	if !a.requiresGrad && !b.requiresGrad {
 		return t.Const(out)
 	}
-	return t.record(out, func(n *Node) { matMulBackward(a, b, n.Grad) })
+	return t.record(out, func(n *Node) { t.matMulBackward(a, b, n.Grad) })
 }
 
-// matMulBackward propagates dY, the gradient of a·b, into a and b.
-func matMulBackward(a, b *Node, dY *Mat) {
+// matMulBackward propagates dY, the gradient of a·b recorded on t, into a
+// and b. a's gradient, dY·bᵀ, takes bᵀ from t.transposed on the vector
+// path.
+func (t *Tape) matMulBackward(a, b *Node, dY *Mat) {
 	if a.requiresGrad {
-		MatMulABTransAcc(a.ensureGrad(), dY, b.Val)
+		g := a.ensureGrad()
+		if useAVX2 {
+			matMulABTransVec(g, dY, t.transposed(b.Val))
+		} else {
+			MatMulABTransAcc(g, dY, b.Val)
+		}
 	}
 	if b.requiresGrad {
 		MatMulATransBAcc(b.ensureGrad(), a.Val, dY)
 	}
+}
+
+// transposed returns bᵀ. The first call for b since the last Reset builds
+// it in an arena matrix, and later calls return that matrix, so a
+// backward pass that multiplies by a weight at every timestep transposes
+// it once. b's values must therefore not change between a backward pass
+// and the next Reset; the optimizer runs after the pass, and the next
+// step starts with a Reset. Each Fork child keeps its own cache.
+func (t *Tape) transposed(b *Mat) *Mat {
+	for _, e := range t.trans {
+		if e.src == b {
+			return e.t
+		}
+	}
+	bt := t.getMat(b.Cols, b.Rows, false)
+	transposeInto(bt, b)
+	t.trans = append(t.trans, transposedMat{src: b, t: bt})
+	return bt
 }
 
 // Add returns a+b element-wise; shapes must match.
@@ -464,8 +502,8 @@ func (t *Tape) LSTMGates(x, wx, h, wh, b *Node) *Node {
 		if b.requiresGrad {
 			biasBackward(b, n.Grad)
 		}
-		matMulBackward(h, wh, n.Grad)
-		matMulBackward(x, wx, n.Grad)
+		t.matMulBackward(h, wh, n.Grad)
+		t.matMulBackward(x, wx, n.Grad)
 	})
 }
 
@@ -712,11 +750,6 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 			cpg = cPrev.ensureGrad()
 		}
 		for r := 0; r < batch; r++ {
-			arow := acts.Row(r)
-			tcrow := tc.Row(r)
-			cprow := cPrev.Val.Row(r)
-			dhrow := dh.Row(r)
-			dcrow := dc.Row(r)
 			var ggrow, cpgrow []float32
 			if gg != nil {
 				ggrow = gg.Row(r)
@@ -724,29 +757,7 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 			if cpg != nil {
 				cpgrow = cpg.Row(r)
 			}
-			for j := 0; j < hd; j++ {
-				iv, fv, gv, ov := arow[j], arow[hd+j], arow[2*hd+j], arow[3*hd+j]
-				tcv := tcrow[j]
-				hG := dhrow[j]
-				// Same per-element products, in the same order, as the
-				// unfused node chain's backward (Mul → Tanh → Add → Mul×2 →
-				// Sigmoid/Tanh → SliceCols).
-				oG := hG * tcv
-				tcG := hG * ov
-				cG := dcrow[j] + tcG*(1-tcv*tcv)
-				if cpgrow != nil {
-					cpgrow[j] += cG * fv
-				}
-				if ggrow != nil {
-					iG := cG * gv
-					gG := cG * iv
-					fG := cG * cprow[j]
-					ggrow[j] += iG * iv * (1 - iv)
-					ggrow[hd+j] += fG * fv * (1 - fv)
-					ggrow[2*hd+j] += gG * (1 - gv*gv)
-					ggrow[3*hd+j] += oG * ov * (1 - ov)
-				}
-			}
+			lstmCellBackRow(ggrow, cpgrow, acts.Row(r), tc.Row(r), cPrev.Val.Row(r), dh.Row(r), dc.Row(r))
 		}
 	})
 	// Pre-allocate both output gradients (zeroed, like the lazily ensured
@@ -755,6 +766,56 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 	h.ensureGrad()
 	cn.ensureGrad()
 	return h, cn
+}
+
+// lstmCellBackRow is one row of LSTMCell's backward: it adds the row's
+// gradients into gg, the gates' gradient row, and cpg, cPrev's, either of
+// which may be nil, from the activated gates acts ([i, f, g, o] blocks of
+// hd = len(tc)), tanh(c), cPrev and the upstream gradients dh and dc.
+// Where gg is set, lstmCellBackAVX2 takes the elements below the last
+// multiple of 8 on AVX2 hosts, and lstmCellBackScalar the rest.
+func lstmCellBackRow(gg, cpg, acts, tc, cprev, dh, dc []float32) {
+	hd := len(tc)
+	j := 0
+	if useAVX2 && gg != nil && hd >= 8 {
+		// The assembly checks no bounds, so check its last reads here.
+		_, _, _, _, _ = gg[4*hd-1], acts[4*hd-1], cprev[hd-1], dh[hd-1], dc[hd-1]
+		if cpg != nil {
+			_ = cpg[hd-1]
+		}
+		lstmCellBackAVX2(gg, cpg, acts, tc, cprev, dh, dc)
+		j = hd &^ 7
+	}
+	lstmCellBackScalar(gg, cpg, acts, tc, cprev, dh, dc, j)
+}
+
+// lstmCellBackScalar is lstmCellBackRow's loop for the elements from j on,
+// and the reference its vector code must match bit for bit.
+func lstmCellBackScalar(gg, cpg, acts, tc, cprev, dh, dc []float32, j int) {
+	hd := len(tc)
+	for ; j < hd; j++ {
+		iv, fv, gv, ov := acts[j], acts[hd+j], acts[2*hd+j], acts[3*hd+j]
+		tcv := tc[j]
+		hG := dh[j]
+		// Same per-element products, in the same order, as the unfused
+		// node chain's backward (Mul → Tanh → Add → Mul×2 → Sigmoid/Tanh
+		// → SliceCols).
+		oG := hG * tcv
+		tcG := hG * ov
+		cG := dc[j] + tcG*(1-tcv*tcv)
+		if cpg != nil {
+			cpg[j] += cG * fv
+		}
+		if gg != nil {
+			iG := cG * gv
+			gG := cG * iv
+			fG := cG * cprev[j]
+			gg[j] += iG * iv * (1 - iv)
+			gg[hd+j] += fG * fv * (1 - fv)
+			gg[2*hd+j] += gG * (1 - gv*gv)
+			gg[3*hd+j] += oG * ov * (1 - ov)
+		}
+	}
 }
 
 // DropoutMask applies a precomputed inverted-dropout mask (entries are 0 or

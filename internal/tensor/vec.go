@@ -97,3 +97,33 @@ func transposeInto(t, b *Mat) {
 		}
 	}
 }
+
+// AdamCoeffs are the float32 constants of one Adam update, as nn.Adam
+// computes them: the step's hyperparameters, 1 - Beta1 and 1 - Beta2, the
+// bias corrections BC1 and BC2, and Clip, the bound on each gradient
+// element's magnitude (+Inf for none). adamAVX2 reads the fields by
+// offset, in this order.
+type AdamCoeffs struct {
+	LR, Beta1, OneMinusBeta1, Beta2, OneMinusBeta2, Eps, Clip, BC1, BC2 float32
+}
+
+// AdamUpdate applies Adam's update to the leading n elements of w, m and v
+// from g, and returns n: the last multiple of 8 in len(w) where the host
+// has AVX2, else 0. The caller runs the rest. Element i becomes, in
+// float32 and in this order, with no fused multiply-add:
+//
+//	gi := g[i] clipped to [-Clip, Clip] (a NaN stays NaN)
+//	m[i] = Beta1*m[i] + OneMinusBeta1*gi
+//	v[i] = Beta2*v[i] + OneMinusBeta2*gi*gi
+//	w[i] -= LR*(m[i]/BC1) / (float32(math.Sqrt(float64(v[i]/BC2))) + Eps)
+//
+// g, m and v must be at least as long as w.
+func AdamUpdate(w, g, m, v []float32, k *AdamCoeffs) int {
+	n := len(w) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	_, _, _ = g[n-1], m[n-1], v[n-1]
+	adamAVX2(w, g, m, v, k)
+	return n
+}

@@ -3,6 +3,7 @@ package voyager
 import (
 	"bytes"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"voyager/internal/metrics"
@@ -220,6 +221,39 @@ func TestGoldenTraceDifferential(t *testing.T) {
 		}
 		if matched == 0 {
 			t.Fatalf("workers=%d: no decision matched any labeling scheme on a cyclic trace", workers)
+		}
+	}
+}
+
+// TestSigmoid64PinnedBits pins candidate scores, which serving sends bit
+// for bit and orders candidates by, to the bits sigmoid64 gave on
+// math.Exp's FMA path: both branches, ±0, ±0.375, large |x|, and inputs
+// where math.Exp's non-FMA path rounds differently (0.109375 and 2.390625
+// through exp(-x), -6.75 and -62 through exp(x)). verify.sh also runs it
+// under GODEBUG=cpu.fma=off, where math.Exp would move those.
+func TestSigmoid64PinnedBits(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		bits uint64
+	}{
+		{0, 0x3fe0000000000000},
+		{math.Copysign(0, -1), 0x3fe0000000000000},
+		{0.375, 0x3fe2f71ff2077eee},
+		{-0.375, 0x3fda11c01bf10222},
+		{0.109375, 0x3fe0dfc6e6d1c7f9},
+		{2.390625, 0x3fed50c51bbd5e42},
+		{-6.75, 0x3f53294815ced7f2},
+		{-62, 0x3a5778fe2497184d},
+		{20, 0x3feffffffee4b79a},
+		{-20, 0x3e21b4865556b5d4},
+		{700, 0x3ff0000000000000},
+		{-700, 0x00d14f2b0fb9307f},
+		{-745.5, 0},
+		{math.Inf(1), 0x3ff0000000000000},
+		{math.Inf(-1), 0},
+	} {
+		if got := math.Float64bits(sigmoid64(c.x)); got != c.bits {
+			t.Errorf("sigmoid64(%v) = %#016x, want %#016x", c.x, got, c.bits)
 		}
 	}
 }

@@ -598,10 +598,14 @@ func sortCandidates(c []Candidate) {
 	}
 }
 
+// sigmoid64 turns a kept logit into a candidate's score. It is built on
+// tensor.Exp64 rather than math.Exp, whose amd64 result depends on the
+// CPU's FMA support and GODEBUG, so the scores serving sends keep their
+// bits on every host.
 func sigmoid64(x float64) float64 {
 	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
+		return 1 / (1 + tensor.Exp64(-x))
 	}
-	e := math.Exp(x)
+	e := tensor.Exp64(x)
 	return e / (1 + e)
 }

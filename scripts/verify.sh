@@ -18,8 +18,9 @@ echo "== go build (GOARCH=arm64)"
 GOARCH=arm64 go build ./...
 
 # gc on arm64 fuses x*y + z into one FMADD unless the product is converted
-# explicitly, which would move the bits of exp64/tanh64. Every fused
-# instruction the compiler emits for act.go must sit on a math.FMA line.
+# explicitly, which would move the bits of exp64/tanh64/log1p64. Every
+# fused instruction the compiler emits for act.go must sit on a math.FMA
+# line (log1p64 has none, so it must show no fused instruction at all).
 # Later runs replay the -S listing from the build cache.
 echo "== no implicit multiply-add fusion in act.go (GOARCH=arm64 -S)"
 fused_lines=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1 |
@@ -38,14 +39,15 @@ if [ -n "$bad" ]; then
 fi
 echo "act.go: fused instructions only on math.FMA lines ($(echo $fused_lines | wc -w) lines)"
 
-# The exact matmul kernels round each product and each sum on its own, as
-# the Go kernels do, so their assembly must hold no fused multiply-add. This
-# is the only check of the AVX-512 file on a host without AVX-512F, where
-# the tests cannot run it. act_amd64.s is exempt: its fused steps are part
-# of exp64's contract.
-echo "== no fused multiply-add in the matmul assembly"
-if grep -nE 'VF(N?MADD|N?MSUB)' internal/tensor/avx2_amd64.s internal/tensor/avx512_amd64.s; then
-  echo "matmul assembly: fused multiply-add found (each term must be VMULPS then VADDPS)"
+# The exact matmul kernels, Adam's update and the LSTM cell's backward
+# (train_amd64.s) round each product and each sum on its own, as their Go
+# loops do, so their assembly must hold no fused multiply-add. This is the
+# only check of the AVX-512 file on a host without AVX-512F, where the
+# tests cannot run it. act_amd64.s is exempt: its fused steps are part of
+# exp64's contract.
+echo "== no fused multiply-add in the float32 assembly"
+if grep -nE 'VF(N?MADD|N?MSUB)' internal/tensor/avx2_amd64.s internal/tensor/avx512_amd64.s internal/tensor/train_amd64.s; then
+  echo "float32 assembly: fused multiply-add found (each term must be VMULPS then VADDPS)"
   exit 1
 fi
 
@@ -120,12 +122,19 @@ go test -run 'TestNilTracerAllocFree' ./internal/tracing/
 echo "== go test (GOARCH=386: tensor, nn)"
 GOARCH=386 go test ./internal/tensor/ ./internal/nn/
 
-# tensor owns its exp (act.go), so no value may move when math.Exp takes
-# its non-FMA amd64 path: the activation tests and the golden constants
-# must hold with GODEBUG turning FMA off for package math.
-echo "== go test (GODEBUG=cpu.fma=off: activations, goldens)"
-GODEBUG=cpu.fma=off go test -count=1 -run 'TestExp64|TestTanh64|TestExpAVX2|TestActivationRows' ./internal/tensor/
-GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenEquivalenceFixedSeed' ./internal/voyager/
+# tensor owns its exp and log1p (act.go), so no value may move when
+# math.Exp takes its non-FMA amd64 path: the activation and loss-term
+# tests, the golden constants and the pinned candidate scores must hold
+# with GODEBUG turning FMA off for package math.
+echo "== go test (GODEBUG=cpu.fma=off: activations, loss terms, goldens, scores)"
+GODEBUG=cpu.fma=off go test -count=1 -run 'TestExp64|TestTanh64|TestExpAVX2|TestActivationRows|TestLog1p|TestBCETermRow' ./internal/tensor/
+GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenEquivalenceFixedSeed|TestSigmoid64PinnedBits' ./internal/voyager/
+
+# The loss-term assembly against bceTerm at every non-negative float32 bit
+# pattern (the sign does not matter), split over GOMAXPROCS goroutines:
+# about 40 s on 2 CPUs.
+echo "== loss-term kernel, full float32 range"
+go test -run '^$' -bench '^BenchmarkBCETermRowFullRange$' -benchtime 1x ./internal/tensor/
 
 echo "== go test -race (tensor, nn, metrics, tracing, voyager, trace, quality)"
 go test -race ./internal/tensor/ ./internal/nn/ ./internal/trace/ ./internal/metrics/ ./internal/tracing/ ./internal/serve/quality/
@@ -150,11 +159,12 @@ go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent|Batcher|Cr
 echo "== go test -race -count=10 (inference workers, batcher turn and start)"
 go test -race -count=10 -run 'TestInferenceWorkersConcurrentMatchPredictAt' ./internal/voyager/
 go test -race -count=10 -run 'TestBatchersStartOnFirstModelBatch|TestBatcherCoalescesQueuedRows' ./internal/serve/
-# Tape.Fork's children: two concurrent chains, each on its own child tape,
-# merged by the join into the parent's inputs, against one interleaved tape
-# and against hashes the single-tape model produced (~25 s).
-echo "== go test -race -count=10 (fork: child tapes, join merge)"
-go test -race -count=10 -run 'TestForkMatchesInterleavedTape|TestNestedRunTasksParallelNoDeadlock' ./internal/tensor/
+# Tape.Fork's children: two concurrent chains, each on its own child tape
+# with its own transpose cache, merged by the join into the parent's
+# inputs, against one interleaved tape and against hashes the single-tape
+# model produced (~25 s).
+echo "== go test -race -count=10 (fork: child tapes, join merge, transpose caches)"
+go test -race -count=10 -run 'TestForkMatchesInterleavedTape|TestForkChildTransposeCaches|TestNestedRunTasksParallelNoDeadlock' ./internal/tensor/
 go test -race -count=10 -run 'TestForkOfflineShapeBitIdentical' ./internal/voyager/
 
 echo "== fuzz trace.Read + metrics.ParseSnapshot + quant converters + serve decoder (bounded)"
