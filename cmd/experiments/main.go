@@ -10,8 +10,8 @@
 // Artifact ids: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 // fig12 fig15 fig17 delta distill. "fig10" and "fig11" run together, as do
 // fig5/fig6/fig8 (one simulator sweep feeds all three). "distill" is the
-// tabularization differential harness: table size vs top-1 agreement vs
-// ns/prediction against the fp32 and int8 teachers.
+// tabularization differential harness: table size vs top-1 agreement with
+// the trained model vs ns/prediction.
 package main
 
 import (

@@ -82,7 +82,6 @@ func main() {
 		saveFile  = flag.String("save", "", "write trained weights to this file")
 		distOut   = flag.String("distill", "", "compile the trained model into a distilled lookup table (calibrated on the first half) and save it to this file")
 		distPred  = flag.Bool("distilled-predict", false, "also replay the distilled table online: unified metric, fallback-tier shares, and a simulator run")
-		quantPred = flag.Bool("quant-predict", false, "int8 weight-quantized output heads for prediction (training stays fp32)")
 
 		metricsOut  = flag.String("metrics", "", "stream NDJSON metric snapshots to this file")
 		metricsHTTP = flag.String("metrics-http", "", "serve /metrics, /trace and /debug/pprof on this address (e.g. localhost:6060)")
@@ -129,7 +128,6 @@ func main() {
 	cfg.Degree = *degree
 	cfg.UseDeltas = !*noDeltas
 	cfg.DropoutKeep = 1
-	cfg.QuantizedPredict = *quantPred
 	if *noPC {
 		cfg.PCUse = voyager.PCNone
 	}

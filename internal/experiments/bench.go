@@ -14,7 +14,6 @@ import (
 	"voyager/internal/nn"
 	"voyager/internal/prefetch/distilled"
 	"voyager/internal/tensor"
-	"voyager/internal/tensor/quant"
 	"voyager/internal/tracing"
 	"voyager/internal/voyager"
 	"voyager/internal/workloads"
@@ -60,14 +59,6 @@ type BenchReport struct {
 	// ns/op: the cost of the same step with the execution-span tracer
 	// recording (acceptance bound: < 1.05).
 	TraceOverhead float64 `json:"train_trace_overhead,omitempty"`
-	// QuantMatMulMaxDelta is the largest element-wise |int8 - fp32| over the
-	// same operands: the end-to-end error of the weight-quantized kernel
-	// against unquantized float32.
-	QuantMatMulMaxDelta float64 `json:"quant_matmul_max_abs_delta,omitempty"`
-	// QuantTop1Agreement is the fraction of minibatch rows whose top-1
-	// (page, offset) prediction is identical between the fp32 and the
-	// int8 quantized predict path, after identical training steps.
-	QuantTop1Agreement float64 `json:"quant_top1_agreement,omitempty"`
 	// DistilledTop1Agreement is the default distilled table's top-1
 	// agreement with the fp32 teacher on the calibration-held-out half of
 	// the bench trace (acceptance bound: ≥ 0.90).
@@ -80,12 +71,11 @@ type BenchReport struct {
 	// prediction is than one serial fp32 model prediction (acceptance
 	// bound: ≥ 20).
 	DistilledSpeedupPerPred float64 `json:"distilled_speedup_per_prediction,omitempty"`
-	// DistilledFP32NsPerPred / DistilledQuantNsPerPred are the teacher's
-	// amortized per-row inference cost at full batch width, for context.
-	DistilledFP32NsPerPred  int64 `json:"distilled_teacher_fp32_ns_per_prediction,omitempty"`
-	DistilledQuantNsPerPred int64 `json:"distilled_teacher_quant_ns_per_prediction,omitempty"`
+	// DistilledFP32NsPerPred is the teacher's amortized per-row inference
+	// cost at full batch width, for context.
+	DistilledFP32NsPerPred int64 `json:"distilled_teacher_fp32_ns_per_prediction,omitempty"`
 	// DistillSweep is the differential harness: table size vs held-out
-	// top-1 agreement (against both teacher precisions) vs ns/prediction.
+	// top-1 agreement with the teacher vs ns/prediction.
 	DistillSweep []DistillPoint `json:"distill_sweep,omitempty"`
 	// Serving-path numbers from an in-process prefetchd under
 	// ServeStreams concurrent client streams (see serve.go). ServeFastP99Ns
@@ -142,12 +132,6 @@ func (r *BenchReport) String() string {
 	if r.TraceOverhead > 0 {
 		fmt.Fprintf(&b, "\n  Trace overhead      %.3fx (train_batch_serial)", r.TraceOverhead)
 	}
-	if r.QuantMatMulMaxDelta > 0 {
-		fmt.Fprintf(&b, "\n  Quant max |Δ|       %.3g (matmul_256_q8 vs fp32)", r.QuantMatMulMaxDelta)
-	}
-	if r.QuantTop1Agreement > 0 {
-		fmt.Fprintf(&b, "\n  Quant top-1 agree   %.3f (predict_batch_quant vs fp32)", r.QuantTop1Agreement)
-	}
 	if r.DistilledTop1Agreement > 0 {
 		fmt.Fprintf(&b, "\n  Distilled top-1     %.3f vs fp32 teacher (held-out)", r.DistilledTop1Agreement)
 	}
@@ -156,8 +140,8 @@ func (r *BenchReport) String() string {
 			r.DistilledSpeedupPerPred, r.DistilledTableBytes)
 	}
 	for _, p := range r.DistillSweep {
-		fmt.Fprintf(&b, "\n    distill log2=%2d %9d B %6d keys  fp32 %.3f  int8 %.3f  %8d ns/pred",
-			p.Log2Buckets, p.TableBytes, p.Keys, p.Top1VsFP32, p.Top1VsQuant, p.NsPerPred)
+		fmt.Fprintf(&b, "\n    distill log2=%2d %9d B %6d keys  fp32 %.3f  %8d ns/pred",
+			p.Log2Buckets, p.TableBytes, p.Keys, p.Top1VsFP32, p.NsPerPred)
 	}
 	if r.ServeStreams > 0 {
 		fmt.Fprintf(&b, "\n  Serve (%d streams)   fast p50 %d ns  p99 %d ns (%.1fx predict_distilled)  model p99 %.2f ms  batch fill %.1f/%d",
@@ -232,32 +216,15 @@ func timeBest(name string, n int, fn func(b *testing.B)) BenchEntry {
 }
 
 // benchHarness builds a voyager.BenchHarness over the cc benchmark's raw
-// trace at the harness scale, with the given data-parallel width and
-// predict-path precision.
-func (o Options) benchHarness(workers int, quantPredict bool) (*voyager.BenchHarness, error) {
+// trace at the harness scale, with the given data-parallel width.
+func (o Options) benchHarness(workers int) (*voyager.BenchHarness, error) {
 	tr, err := workloads.Generate("cc", o.workloadConfig())
 	if err != nil {
 		return nil, err
 	}
 	cfg := o.voyagerConfig(tr.Len())
 	cfg.Workers = workers
-	cfg.QuantizedPredict = quantPredict
 	return voyager.NewBenchHarness(tr, cfg)
-}
-
-// maxAbsDelta returns the largest element-wise |got - want|.
-func maxAbsDelta(got, want *tensor.Mat) float64 {
-	var m float64
-	for i := range got.Data {
-		d := float64(got.Data[i] - want.Data[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Bench times the performance-critical stages of the training engine:
@@ -306,26 +273,6 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 			}
 		}))
 
-	// The inference-only quantized kernels: int8 with per-column scales and
-	// binary16, with the int8 end-to-end error against unquantized fp32.
-	q8 := quant.QuantizeQ8(bm)
-	f16 := quant.QuantizeF16(bm)
-	r.Entries = append(r.Entries,
-		timeIt("matmul_256_q8", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quant.MatMulQ8(dst, a, q8, nil)
-			}
-		}),
-		timeIt("matmul_256_f16", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quant.MatMulF16(dst, a, f16, nil)
-			}
-		}))
-	exact := tensor.MatMul(nil, a, bm)
-	qDst := tensor.NewMat(mdim, mdim)
-	quant.MatMulQ8(qDst, a, q8, nil)
-	r.QuantMatMulMaxDelta = maxAbsDelta(qDst, exact)
-
 	// One LSTM step at the paper's hidden size, batch 64.
 	o.logf("  bench: lstm step...")
 	lstm := nn.NewLSTM("bench", 256, 256, rng)
@@ -346,7 +293,7 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 		workers int
 	}{{"train_batch_serial", 1}, {"train_batch_parallel", workers}} {
 		o.logf("  bench: %s...", v.name)
-		h, err := o.benchHarness(v.workers, false)
+		h, err := o.benchHarness(v.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -371,47 +318,10 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 			}))
 	}
 
-	// The quantized predict path against the fp32 one: both harnesses share
-	// the same trace and seed and advance through the same deterministic
-	// serial optimizer steps, so their fp32 weights stay bit-identical and
-	// any top-1 disagreement is int8 quantization noise alone.
-	{
-		o.logf("  bench: predict_batch_quant...")
-		fh, err := o.benchHarness(1, false)
-		if err != nil {
-			return nil, err
-		}
-		qh, err := o.benchHarness(1, true)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < 5; i++ {
-			fh.TrainStep()
-			qh.TrainStep()
-		}
-		r.Entries = append(r.Entries, timeBest("predict_batch_quant", 3, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				qh.PredictStep()
-			}
-		}))
-		fOut, qOut := fh.PredictCandidates(), qh.PredictCandidates()
-		agree := 0
-		for row := range fOut {
-			if len(fOut[row]) > 0 && len(qOut[row]) > 0 &&
-				fOut[row][0].PageTok == qOut[row][0].PageTok &&
-				fOut[row][0].OffTok == qOut[row][0].OffTok {
-				agree++
-			}
-		}
-		if len(fOut) > 0 {
-			r.QuantTop1Agreement = float64(agree) / float64(len(fOut))
-		}
-	}
-
 	// The distilled fast path: train a serial teacher on the harness trace,
-	// run the table-size differential sweep against both teacher precisions,
-	// then time the headline online replay of the default-parameter table
-	// (compiled on the calibration half, scored on the held-out half).
+	// run the table-size differential sweep against it, then time the
+	// headline online replay of the default-parameter table (compiled on
+	// the calibration half, scored on the held-out half).
 	{
 		o.logf("  bench: distill sweep + predict_distilled...")
 		tr, err := workloads.Generate("cc", o.workloadConfig())
@@ -424,9 +334,8 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		cells, fp32Ns, quantNs := sweepDistill(p, tr, distillSweepLog2s)
+		cells, fp32Ns := sweepDistill(p, tr, distillSweepLog2s)
 		r.DistilledFP32NsPerPred = fp32Ns
-		r.DistilledQuantNsPerPred = quantNs
 		for _, c := range cells {
 			pt := c.point
 			pt.Benchmark = "cc"
@@ -478,7 +387,7 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 		o.logf("  bench: train_batch_serial_metrics...")
 		opts := o
 		opts.Metrics = metrics.NewRegistry()
-		h, err := opts.benchHarness(1, false)
+		h, err := opts.benchHarness(1)
 		if err != nil {
 			return nil, err
 		}
@@ -496,7 +405,7 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 		o.logf("  bench: train_batch_serial_trace...")
 		opts := o
 		opts.Trace = tracing.New(tracing.Options{})
-		h, err := opts.benchHarness(1, false)
+		h, err := opts.benchHarness(1)
 		if err != nil {
 			return nil, err
 		}
@@ -550,7 +459,7 @@ func (o Options) Bench(workers int) (*BenchReport, error) {
 }
 
 // benchGates are the entries the bench-smoke gate guards and the minimum
-// acceptable speedup-vs-baseline for each. All three are measured
+// acceptable speedup-vs-baseline for each. Both are measured
 // min-of-3 (timeBest), which removes uncorrelated scheduler noise. The
 // floors differ because the residual drift differs: the long model-bound
 // predict batches land anywhere in 0.6-1.1x of a prior run with no code
@@ -571,7 +480,6 @@ var benchGates = []struct {
 }{
 	{"matmul_256", 0.80},
 	{"predict_batch_serial", 0.75},
-	{"predict_batch_quant", 0.75},
 }
 
 // serveQualityOverheadMax gates serve_quality_overhead: the fast tier's p99

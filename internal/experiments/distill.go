@@ -45,8 +45,8 @@ func (r *Run) distilledFor(name string) [][]uint64 {
 }
 
 // DistillPoint is one (benchmark × table size) cell of the differential
-// harness: the distilled table against its fp32 and int8-quantized
-// teachers on the calibration-held-out half of the stream.
+// harness: the distilled table against its fp32 teacher on the
+// calibration-held-out half of the stream.
 type DistillPoint struct {
 	Benchmark   string  `json:"benchmark,omitempty"`
 	Log2Buckets int     `json:"log2_buckets"`
@@ -54,7 +54,6 @@ type DistillPoint struct {
 	Keys        int     `json:"keys"`
 	MarkovKeys  int     `json:"markov_keys"`
 	Top1VsFP32  float64 `json:"top1_agreement_fp32"`
-	Top1VsQuant float64 `json:"top1_agreement_quant"`
 	NsPerPred   int64   `json:"ns_per_prediction"`
 }
 
@@ -153,18 +152,15 @@ func replayNsPerPred(pf *distilled.Prefetcher, tr *trace.Trace) int64 {
 
 // sweepDistill measures the size/accuracy/latency frontier for one trained
 // teacher: each table size is compiled on the first half of the stream and
-// scored on the held-out second half against both the fp32 and the
-// int8-quantized teacher, then timed replaying online. Returns the sweep
-// points plus the two teachers' per-prediction inference cost (batched at
-// the model's batch width, amortized per row).
-func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []distillCell, fp32Ns, quantNs int64) {
+// scored on the held-out second half against the teacher, then timed
+// replaying online. Returns the sweep points plus the teacher's
+// per-prediction inference cost (batched at the model's batch width,
+// amortized per row).
+func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []distillCell, fp32Ns int64) {
 	n := p.NumAccesses()
 	half := n / 2
 	held := heldOutPositions(n)
 	fp32 := teacherTop1(p, held)
-	p.Model.SetQuantizedPredict(true)
-	quant := teacherTop1(p, held)
-	p.Model.SetQuantizedPredict(false)
 
 	// Teacher cost per prediction: one full PredictAt batch, amortized.
 	width := p.Cfg.BatchSize
@@ -177,13 +173,6 @@ func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []dis
 			p.PredictAt(batch, 1)
 		}
 	}) / int64(width)
-	p.Model.SetQuantizedPredict(true)
-	quantNs = nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p.PredictAt(batch, 1)
-		}
-	}) / int64(width)
-	p.Model.SetQuantizedPredict(false)
 
 	for _, lg := range log2s {
 		prm := distill.DefaultParams()
@@ -204,13 +193,12 @@ func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []dis
 				Keys:        st.Keys,
 				MarkovKeys:  st.MarkovKeys,
 				Top1VsFP32:  tableTop1Agreement(p, tab, held, fp32),
-				Top1VsQuant: tableTop1Agreement(p, tab, held, quant),
 				NsPerPred:   replayNsPerPred(pf, tr),
 			},
 			table: tab,
 		})
 	}
-	return pts, fp32Ns, quantNs
+	return pts, fp32Ns
 }
 
 // distillCell pairs a sweep point with its compiled table so callers can
@@ -224,27 +212,27 @@ type distillCell struct {
 // harness over the ablation benchmarks.
 type DistillResult struct {
 	Rows []DistillPoint
-	// FP32NsPerPred / QuantNsPerPred record, per benchmark, the teacher's
-	// amortized per-prediction inference cost for context.
-	TeacherNs map[string][2]int64
+	// TeacherNs records, per benchmark, the teacher's amortized
+	// per-prediction inference cost for context.
+	TeacherNs map[string]int64
 }
 
-// DistillStudy sweeps table size vs. top-1 agreement vs. ns/prediction for
-// each ablation benchmark's trained Voyager against its fp32 and quantized
-// teachers.
+// DistillStudy sweeps table size vs. top-1 agreement with the teacher vs.
+// ns/prediction, with each ablation benchmark's trained Voyager as the
+// teacher.
 func (r *Run) DistillStudy() *DistillResult {
-	res := &DistillResult{TeacherNs: map[string][2]int64{}}
+	res := &DistillResult{TeacherNs: map[string]int64{}}
 	for _, name := range r.Opts.benchList(AblationBenchmarks) {
 		vp := r.voyagerFor(name)
 		st := r.streamFor(name)
 		r.Opts.logf("distill study: %s", name)
-		cells, fp32Ns, quantNs := sweepDistill(vp, st.Trace, distillSweepLog2s)
+		cells, fp32Ns := sweepDistill(vp, st.Trace, distillSweepLog2s)
 		for _, c := range cells {
 			p := c.point
 			p.Benchmark = name
 			res.Rows = append(res.Rows, p)
 		}
-		res.TeacherNs[name] = [2]int64{fp32Ns, quantNs}
+		res.TeacherNs[name] = fp32Ns
 	}
 	return res
 }
@@ -253,8 +241,8 @@ func (r *Run) DistillStudy() *DistillResult {
 func (d *DistillResult) String() string {
 	var b strings.Builder
 	b.WriteString("Distillation: table size vs top-1 agreement vs ns/prediction\n")
-	fmt.Fprintf(&b, "  %-10s %6s %10s %8s %8s %10s %10s %12s\n",
-		"benchmark", "log2", "bytes", "keys", "markov", "vs_fp32", "vs_quant", "ns/pred")
+	fmt.Fprintf(&b, "  %-10s %6s %10s %8s %8s %10s %12s\n",
+		"benchmark", "log2", "bytes", "keys", "markov", "vs_fp32", "ns/pred")
 	last := ""
 	for _, p := range d.Rows {
 		name := p.Benchmark
@@ -263,9 +251,9 @@ func (d *DistillResult) String() string {
 		} else {
 			last = p.Benchmark
 		}
-		fmt.Fprintf(&b, "  %-10s %6d %10d %8d %8d %10.3f %10.3f %12d\n",
+		fmt.Fprintf(&b, "  %-10s %6d %10d %8d %8d %10.3f %12d\n",
 			name, p.Log2Buckets, p.TableBytes, p.Keys, p.MarkovKeys,
-			p.Top1VsFP32, p.Top1VsQuant, p.NsPerPred)
+			p.Top1VsFP32, p.NsPerPred)
 	}
 	// Stable teacher-cost footer ordered by the row order above.
 	seen := map[string]bool{}
@@ -274,9 +262,8 @@ func (d *DistillResult) String() string {
 			continue
 		}
 		seen[p.Benchmark] = true
-		ns := d.TeacherNs[p.Benchmark]
-		fmt.Fprintf(&b, "  teacher %-10s fp32 %8d ns/pred   int8 %8d ns/pred\n",
-			p.Benchmark, ns[0], ns[1])
+		fmt.Fprintf(&b, "  teacher %-10s fp32 %8d ns/pred\n",
+			p.Benchmark, d.TeacherNs[p.Benchmark])
 	}
 	return b.String()
 }

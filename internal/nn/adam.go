@@ -109,7 +109,8 @@ func (a *Adam) updateSlice(w, g, m, v []float32, bc1, bc2 float32) {
 }
 
 // updateScalar is Adam's per-element update, and the reference the vector
-// code must match bit for bit.
+// code must match bit for bit. Its products are converted explicitly, so gc
+// cannot fuse them into the adds where it fuses a*b+c (arm64, for one).
 func (a *Adam) updateScalar(w, g, m, v []float32, bc1, bc2 float32) {
 	lr := a.LR
 	for i := range w {
@@ -121,8 +122,8 @@ func (a *Adam) updateScalar(w, g, m, v []float32, bc1, bc2 float32) {
 				gi = -a.Clip
 			}
 		}
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+		m[i] = float32(a.Beta1*m[i]) + float32((1-a.Beta1)*gi)
+		v[i] = float32(a.Beta2*v[i]) + float32((1-a.Beta2)*gi*gi)
 		mh := m[i] / bc1
 		vh := v[i] / bc2
 		w[i] -= lr * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)

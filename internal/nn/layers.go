@@ -106,6 +106,8 @@ func (l *Linear) ForwardSampled(tp *tensor.Tape, x *tensor.Node, cols []int) *te
 	// the dot products below read memory sequentially; the seed kernel's
 	// outFull-strided walk thrashes cache on large vocabulary heads. The
 	// per-element summation order is unchanged, so results are bit-identical.
+	// Each product here and in the backward is converted explicitly, so gc
+	// cannot fuse it into the add where it fuses a*b+c (arm64, for one).
 	// cols must stay unchanged until Backward completes.
 	wcols := tp.NewMat(len(cols), in)
 	for j, c := range cols {
@@ -121,7 +123,7 @@ func (l *Linear) ForwardSampled(tp *tensor.Tape, x *tensor.Node, cols []int) *te
 			s := bias[cols[j]]
 			wrow := wcols.Row(j)
 			for k, xv := range xrow {
-				s += xv * wrow[k]
+				s += float32(xv * wrow[k])
 			}
 			orow[j] = s
 		}
@@ -148,8 +150,8 @@ func (l *Linear) ForwardSampled(tp *tensor.Tape, x *tensor.Node, cols []int) *te
 				wrow := wcols.Row(j)
 				wgrow := wgcols.Row(j)
 				for k, xv := range xrow {
-					xgrow[k] += g * wrow[k]
-					wgrow[k] += g * xv
+					xgrow[k] += float32(g * wrow[k])
+					wgrow[k] += float32(g * xv)
 				}
 			}
 		}

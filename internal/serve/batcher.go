@@ -157,9 +157,9 @@ func (s *Server) batchLoop(b *batcher) {
 // startWorkers builds inference workers 1..n-1 and starts their batchers in
 // worker order. Batcher 0 calls it on its first batch, before it runs that
 // batch, so no other goroutine uses the model while InferenceWorkers builds
-// the replicas (and requantizes int8 heads). Close may already be waiting
-// on loops; batcher 0 has not called Done, so the count is above zero and
-// the Adds are legal, and the new batchers exit on the closed queue.
+// the replicas. Close may already be waiting on loops; batcher 0 has not
+// called Done, so the count is above zero and the Adds are legal, and the
+// new batchers exit on the closed queue.
 func (s *Server) startWorkers(n int) {
 	workers := s.cfg.Model.InferenceWorkers(n)
 	for i := 1; i < len(workers); i++ {

@@ -4,17 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"voyager/internal/tensor"
 )
-
-func randMat(rng *rand.Rand, r, c int) *tensor.Mat {
-	m := tensor.NewMat(r, c)
-	for i := range m.Data {
-		m.Data[i] = rng.Float32()*2 - 1
-	}
-	return m
-}
 
 // TestF16ExactRoundTrip: every finite binary16 bit pattern must survive
 // f16 → f32 → f16 unchanged (the f32 value is exact, so re-rounding is the
@@ -69,159 +59,6 @@ func TestF16SpecialValues(t *testing.T) {
 	}
 }
 
-// TestQ8QuantizationError: per-column symmetric int8 rounds each weight to
-// within half a step (scale/2) of its fp32 value, and all-zero columns stay
-// exactly zero.
-func TestQ8QuantizationError(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	w := randMat(rng, 37, 19)
-	for i := 0; i < w.Rows; i++ {
-		w.Set(i, 7, 0) // an all-zero column
-	}
-	q := QuantizeQ8(w)
-	deq := q.Dequantize(nil)
-	for i := 0; i < w.Rows; i++ {
-		for j := 0; j < w.Cols; j++ {
-			d := math.Abs(float64(deq.At(i, j) - w.At(i, j)))
-			if d > float64(q.Scale[j])/2+1e-9 {
-				t.Fatalf("(%d,%d): |Δ|=%g > scale/2=%g", i, j, d, q.Scale[j]/2)
-			}
-		}
-	}
-	for i := 0; i < w.Rows; i++ {
-		if deq.At(i, 7) != 0 {
-			t.Fatalf("zero column survived as %v", deq.At(i, 7))
-		}
-	}
-	if q.Bytes() >= 4*len(w.Data) {
-		t.Fatalf("Q8 footprint %d not smaller than fp32 %d", q.Bytes(), 4*len(w.Data))
-	}
-}
-
-// TestMatMulQ8MatchesDequantized: the fused kernel must agree with the fp32
-// matmul against the explicitly dequantized weights — same term set, only
-// association differs.
-func TestMatMulQ8MatchesDequantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, s := range [][3]int{{1, 1, 1}, {5, 7, 3}, {33, 64, 17}, {64, 130, 50}} {
-		x := randMat(rng, s[0], s[1])
-		w := randMat(rng, s[1], s[2])
-		bias := make([]float32, s[2])
-		for j := range bias {
-			bias[j] = rng.Float32()
-		}
-		q := QuantizeQ8(w)
-		want := tensor.MatMul(nil, x, q.Dequantize(nil))
-		for i := 0; i < want.Rows; i++ {
-			row := want.Row(i)
-			for j := range row {
-				row[j] += bias[j]
-			}
-		}
-		got := tensor.NewMat(s[0], s[2])
-		MatMulQ8(got, x, q, bias)
-		for i := range got.Data {
-			if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > 1e-4 {
-				t.Fatalf("%v elem %d: got %v want %v", s, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestMatMulF16MatchesDequantized: same as above for the binary16 kernel.
-func TestMatMulF16MatchesDequantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, s := range [][3]int{{5, 7, 3}, {33, 64, 17}, {64, 130, 50}} {
-		x := randMat(rng, s[0], s[1])
-		w := randMat(rng, s[1], s[2])
-		q := QuantizeF16(w)
-		want := tensor.MatMul(nil, x, q.Dequantize(nil))
-		got := tensor.NewMat(s[0], s[2])
-		MatMulF16(got, x, q, nil)
-		for i := range got.Data {
-			if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > 1e-4 {
-				t.Fatalf("%v elem %d: got %v want %v", s, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestMatMulQ8ErrorBound bounds the end-to-end error against the ORIGINAL
-// fp32 weights: |Σ_k x_k·(ŵ-w)_kj| ≤ (scale_j/2)·Σ_k|x_k| — the analytic
-// guarantee the voyager quantized-predict mode leans on.
-func TestMatMulQ8ErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := randMat(rng, 16, 96)
-	w := randMat(rng, 96, 24)
-	q := QuantizeQ8(w)
-	exact := tensor.MatMul(nil, x, w)
-	got := tensor.NewMat(16, 24)
-	MatMulQ8(got, x, q, nil)
-	for i := 0; i < 16; i++ {
-		var sumAbs float64
-		for _, v := range x.Row(i) {
-			sumAbs += math.Abs(float64(v))
-		}
-		for j := 0; j < 24; j++ {
-			bound := float64(q.Scale[j])/2*sumAbs + 1e-4
-			if d := math.Abs(float64(got.At(i, j) - exact.At(i, j))); d > bound {
-				t.Fatalf("(%d,%d): |Δ|=%g > bound %g", i, j, d, bound)
-			}
-		}
-	}
-}
-
-// TestRequantizeTracksWeights: after the source weights move, RequantizeFrom
-// must produce the same result as quantizing from scratch, with no new
-// allocations.
-func TestRequantizeTracksWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	w := randMat(rng, 48, 32)
-	q := QuantizeQ8(w)
-	f := QuantizeF16(w)
-	for i := range w.Data {
-		w.Data[i] *= 1.5
-		w.Data[i] += 0.1
-	}
-	q.RequantizeFrom(w)
-	f.RequantizeFrom(w)
-	fresh := QuantizeQ8(w)
-	for i := range q.Data {
-		if q.Data[i] != fresh.Data[i] {
-			t.Fatalf("Q8 elem %d: requantized %d != fresh %d", i, q.Data[i], fresh.Data[i])
-		}
-	}
-	freshF := QuantizeF16(w)
-	for i := range f.Data {
-		if f.Data[i] != freshF.Data[i] {
-			t.Fatalf("F16 elem %d: requantized %#04x != fresh %#04x", i, f.Data[i], freshF.Data[i])
-		}
-	}
-	if n := testing.AllocsPerRun(10, func() { q.RequantizeFrom(w) }); n != 0 {
-		t.Errorf("Q8 RequantizeFrom: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { f.RequantizeFrom(w) }); n != 0 {
-		t.Errorf("F16 RequantizeFrom: %v allocs/op, want 0", n)
-	}
-}
-
-// TestMatMulQuantAllocFree pins the kernels at zero steady-state allocations.
-func TestMatMulQuantAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := randMat(rng, 32, 64)
-	w := randMat(rng, 64, 48)
-	bias := make([]float32, 48)
-	q := QuantizeQ8(w)
-	f := QuantizeF16(w)
-	dst := tensor.NewMat(32, 48)
-	if n := testing.AllocsPerRun(10, func() { MatMulQ8(dst, x, q, bias) }); n != 0 {
-		t.Errorf("MatMulQ8: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { MatMulF16(dst, x, f, bias) }); n != 0 {
-		t.Errorf("MatMulF16: %v allocs/op, want 0", n)
-	}
-}
-
 // TestAffineQuantize pins the per-tensor affine helper shared with
 // nn.ParamSet.Quantize: values land on grid points, zeros stay zero, and
 // degenerate inputs are no-ops.
@@ -248,31 +85,4 @@ func TestAffineQuantize(t *testing.T) {
 	}
 	empty := []float32{}
 	AffineQuantize(empty, 8) // must not panic
-}
-
-func benchQuantMatMul(b *testing.B, run func(dst, x *tensor.Mat)) {
-	rng := rand.New(rand.NewSource(8))
-	x := randMat(rng, 256, 256)
-	dst := tensor.NewMat(256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(dst, x)
-	}
-}
-
-func BenchmarkMatMulQ8_256(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(8))
-	w := randMat(rng, 256, 256)
-	q := QuantizeQ8(w)
-	benchQuantMatMul(b, func(dst, x *tensor.Mat) { MatMulQ8(dst, x, q, nil) })
-}
-
-func BenchmarkMatMulF16_256(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(8))
-	w := randMat(rng, 256, 256)
-	q := QuantizeF16(w)
-	benchQuantMatMul(b, func(dst, x *tensor.Mat) { MatMulF16(dst, x, q, nil) })
 }

@@ -85,10 +85,3 @@ func (h *BenchHarness) PredictStep() int {
 	out := h.p.Model.PredictBatch(h.seqs, h.p.Cfg.Degree)
 	return len(out[0])
 }
-
-// PredictCandidates runs one inference pass and returns the full candidate
-// lists — the accuracy-differential harness in internal/experiments compares
-// fp32 and quantized predictions row by row.
-func (h *BenchHarness) PredictCandidates() [][]Candidate {
-	return h.p.Model.PredictBatch(h.seqs, h.p.Cfg.Degree)
-}

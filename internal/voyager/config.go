@@ -127,17 +127,6 @@ type Config struct {
 	// observational like Metrics and Trace.
 	Provenance *tracing.DecisionLog `json:"-"`
 
-	// QuantizedPredict routes PredictBatch's head matmuls through int8
-	// weight-quantized shadows of the page/offset heads (per-column
-	// symmetric scales, fp32 activations; see nn.QuantizedLinear). The
-	// shadows requantize lazily — TrainBatch marks them stale and the next
-	// PredictBatch refreshes them once before sharding — so steady-state
-	// inference pays only the int8 kernels. Training is untouched and
-	// prediction scores shift by quantization noise (bounded by the
-	// differential tests in quant_test.go), so leave this off for the
-	// golden/determinism paths.
-	QuantizedPredict bool
-
 	// Workers is the data-parallel width of TrainBatch/PredictBatch: each
 	// minibatch is cut into Workers contiguous shards that run forward and
 	// backward concurrently, each on its own gradient buffer and RNG stream

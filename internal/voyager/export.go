@@ -114,42 +114,15 @@ func (m *Model) PredictTokenBatch(b *TokenBatch, degree int) [][]Candidate {
 		seqs[s].page = b.seqs[s].page[:b.rows]
 		seqs[s].off = b.seqs[s].off[:b.rows]
 	}
-	if m.cfg.QuantizedPredict {
-		// A no-op on every worker InferenceWorkers returned: it has already
-		// requantized and handed each of them the master's shadows.
-		m.ensureQuantHeads()
-	}
 	return m.predictShard(seqs, degree, true)
 }
 
 // InferenceWorkers returns n ≥ 1 models that share this model's weights and
 // can each run PredictTokenBatch on its own goroutine at the same time: the
 // model itself and n-1 of its replicas, each with its own tape and scratch.
-// With QuantizedPredict set it requantizes the heads once, here on the
-// caller's goroutine, and gives every worker the master's shadows, so no
-// worker writes shared state afterwards. Call it before the workers start,
-// and run no training or offline PredictBatch on the model while they run.
+// Call it before the workers start, and run no training or offline
+// PredictBatch on the model while they run.
 func (m *Model) InferenceWorkers(n int) []*Model {
 	m.ensureReplicas(n)
-	workers := append([]*Model{m}, m.replicas[:n-1]...)
-	if m.cfg.QuantizedPredict {
-		m.ensureQuantHeads()
-		for _, r := range workers[1:] {
-			r.qPageHead, r.qOffHead = m.qPageHead, m.qOffHead
-		}
-	}
-	return workers
-}
-
-// SetQuantizedPredict toggles the int8 quantized predict path on an
-// already-constructed model (otherwise Config.QuantizedPredict is fixed at
-// construction). The next PredictBatch requantizes the head shadows from
-// the current fp32 weights, so toggling is safe at any point between
-// batches; existing replicas are switched along with the master.
-func (m *Model) SetQuantizedPredict(on bool) {
-	m.cfg.QuantizedPredict = on
-	m.qDirty = true
-	for _, r := range m.replicas {
-		r.cfg.QuantizedPredict = on
-	}
+	return append([]*Model{m}, m.replicas[:n-1]...)
 }

@@ -38,7 +38,7 @@ func offlineShapeHashes(t *testing.T, keep float32) (losses, weights, cands uint
 		t.Fatal(err)
 	}
 	ch := fnv.New64a()
-	for _, row := range h.PredictCandidates() {
+	for _, row := range h.p.Model.PredictBatch(h.seqs, h.p.Cfg.Degree) {
 		for _, c := range row {
 			s := math.Float64bits(c.Score)
 			for _, v := range []uint64{uint64(c.PageTok), uint64(c.OffTok), s} {

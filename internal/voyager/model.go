@@ -27,15 +27,6 @@ type Model struct {
 	pageHead *nn.Linear
 	offHead  *nn.Linear
 
-	// qPageHead/qOffHead are the int8 shadows of the heads used when
-	// cfg.QuantizedPredict is set. The master owns them and requantizes
-	// lazily (qDirty, set by TrainBatch); replicas receive the master's
-	// pointers before each sharded predict, or once from InferenceWorkers,
-	// and only read them.
-	qPageHead *nn.QuantizedLinear
-	qOffHead  *nn.QuantizedLinear
-	qDirty    bool
-
 	params nn.ParamSet
 
 	// rng is worker 0's random stream. It is seeded with cfg.Seed and first
@@ -320,7 +311,6 @@ func (m *Model) runChain(i int, c *tensor.Tape) {
 // the shared params in ascending worker order (see Config.Workers).
 func (m *Model) TrainBatch(seqs []batchToken, pagePos, offPos [][]int, pageW, offW [][]float32) float32 {
 	batch := len(pagePos)
-	m.qDirty = true // weights are about to move; requantize at next predict
 	n := m.workerCount(batch)
 	if n <= 1 {
 		loss := m.trainShard(seqs, pagePos, offPos, pageW, offW, 1, false)
@@ -462,47 +452,19 @@ type Candidate struct {
 func (m *Model) PredictBatch(seqs []batchToken, degree int) [][]Candidate {
 	batch := len(seqs[0].page)
 	n := m.workerCount(batch)
-	if m.cfg.QuantizedPredict {
-		// Requantize once, on the calling goroutine, before any shard runs.
-		m.ensureQuantHeads()
-	}
 	if n <= 1 {
 		return m.predictShard(seqs, degree, false)
 	}
 	m.ensureReplicas(n)
-	if m.cfg.QuantizedPredict {
-		for _, r := range m.replicas {
-			r.qPageHead, r.qOffHead = m.qPageHead, m.qOffHead
-		}
-	}
 	bounds := shardBounds(batch, n)
 	out := make([][]Candidate, batch)
 	// Inference shards are embarrassingly parallel: forward passes only read
-	// the shared weights (fp32 or quantized shadows), and each worker writes
-	// a disjoint slice of out.
+	// the shared weights, and each worker writes a disjoint slice of out.
 	tensor.RunTasks(n, func(w int) {
 		lo, hi := bounds[w], bounds[w+1]
 		copy(out[lo:hi], m.worker(w).predictShard(sliceSeqs(seqs, lo, hi), degree, true))
 	})
 	return out
-}
-
-// ensureQuantHeads builds or refreshes the int8 head shadows so they match
-// the current fp32 weights. Called from the PredictBatch entry goroutine
-// and InferenceWorkers' caller only, never from shards, so requantization
-// is race-free; on a worker that already holds fresh shadows it only reads.
-func (m *Model) ensureQuantHeads() {
-	if m.qPageHead == nil {
-		m.qPageHead = nn.QuantizeLinear(m.pageHead)
-		m.qOffHead = nn.QuantizeLinear(m.offHead)
-		m.qDirty = false
-		return
-	}
-	if m.qDirty {
-		m.qPageHead.Requantize(m.pageHead)
-		m.qOffHead.Requantize(m.offHead)
-		m.qDirty = false
-	}
 }
 
 // predictShard runs inference for one shard of a batch; inline runs the
@@ -514,14 +476,8 @@ func (m *Model) predictShard(seqs []batchToken, degree int, inline bool) [][]Can
 	tp.Reset()
 	tp.NoGrad = true
 	ph, oh := m.hidden(tp, seqs, false, inline)
-	var pageLogits, offLogits *tensor.Node
-	if m.cfg.QuantizedPredict {
-		pageLogits = m.qPageHead.Forward(tp, ph)
-		offLogits = m.qOffHead.Forward(tp, oh)
-	} else {
-		pageLogits = m.pageHead.Forward(tp, ph)
-		offLogits = m.offHead.Forward(tp, oh)
-	}
+	pageLogits := m.pageHead.Forward(tp, ph)
+	offLogits := m.offHead.Forward(tp, oh)
 	batch := pageLogits.Val.Rows
 	out := make([][]Candidate, batch)
 	for b := 0; b < batch; b++ {

@@ -128,10 +128,9 @@ func TestPredictBatchParallelMatchesSerial(t *testing.T) {
 
 // A server runs one batch per inference worker at a time. n workers of a
 // Workers=n model, each on its own goroutine at once, must answer multi-row
-// TokenBatches bit-for-bit as PredictAt does, with fp32 heads and with the
-// int8 heads InferenceWorkers requantizes once for all workers. A
-// PredictTokenBatch that still sharded its batch across the replicas would
-// have two goroutines writing one replica's tape.
+// TokenBatches bit-for-bit as PredictAt does. A PredictTokenBatch that still
+// sharded its batch across the replicas would have two goroutines writing
+// one replica's tape.
 func TestInferenceWorkersConcurrentMatchPredictAt(t *testing.T) {
 	cycle := make([]uint64, 24)
 	for i := range cycle {
@@ -139,47 +138,40 @@ func TestInferenceWorkersConcurrentMatchPredictAt(t *testing.T) {
 	}
 	tr := cyclicTrace(cycle, 40)
 	const n = 4
-	for _, quant := range []bool{false, true} {
-		cfg := FastConfig()
-		cfg.Degree = 3
-		cfg.Workers = n
-		h, err := NewBenchHarness(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			h.TrainStep() // move the weights off their initialization
-		}
-		p := h.p
-		p.Model.SetQuantizedPredict(quant)
-		positions := make([]int, p.NumAccesses())
-		for i := range positions {
-			positions[i] = i
-		}
-		want := p.PredictAt(positions, cfg.Degree)
-		// Mark the int8 shadows stale again: InferenceWorkers must
-		// requantize before the workers run, or the master would requantize
-		// in place while the replicas read the same shadows (a race).
-		p.Model.SetQuantizedPredict(quant)
-		workers := p.Model.InferenceWorkers(n)
-		if len(workers) != n || workers[0] != p.Model {
-			t.Fatalf("InferenceWorkers(%d): %d workers, first is the model: %v", n, len(workers), workers[0] == p.Model)
-		}
+	cfg := FastConfig()
+	cfg.Degree = 3
+	cfg.Workers = n
+	h, err := NewBenchHarness(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		h.TrainStep() // move the weights off their initialization
+	}
+	p := h.p
+	positions := make([]int, p.NumAccesses())
+	for i := range positions {
+		positions[i] = i
+	}
+	want := p.PredictAt(positions, cfg.Degree)
+	workers := p.Model.InferenceWorkers(n)
+	if len(workers) != n || workers[0] != p.Model {
+		t.Fatalf("InferenceWorkers(%d): %d workers, first is the model: %v", n, len(workers), workers[0] == p.Model)
+	}
 
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for g, w := range workers {
-			wg.Add(1)
-			go func(g int, w *Model) {
-				defer wg.Done()
-				errs[g] = predictAllInRows(p, w, want, g+2)
-			}(g, w)
-		}
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Errorf("quantized=%v worker %d: %v", quant, g, err)
-			}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g, w := range workers {
+		wg.Add(1)
+		go func(g int, w *Model) {
+			defer wg.Done()
+			errs[g] = predictAllInRows(p, w, want, g+2)
+		}(g, w)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", g, err)
 		}
 	}
 }

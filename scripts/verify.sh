@@ -4,7 +4,7 @@
 # coverage gates), the race detector over the packages that share state
 # across goroutines (including prefetchd's session/batcher machinery), and
 # bounded fuzz runs of the binary trace decoder, the metrics snapshot
-# parser, the int8/f16 quantizers the distilled tables are packed with,
+# parser, the binary16 converters the distilled tables are packed with,
 # and the daemon's wire-protocol request decoder.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,11 +18,12 @@ echo "== go build (GOARCH=arm64)"
 GOARCH=arm64 go build ./...
 
 # gc on arm64 fuses x*y + z into one FMADD unless the product is converted
-# explicitly, which would move the bits of exp64/tanh64/log1p64. Every
-# fused instruction the compiler emits for act.go must sit on a math.FMA
-# line (log1p64 has none, so it must show no fused instruction at all).
-# Later runs replay the -S listing from the build cache.
-echo "== no implicit multiply-add fusion in act.go (GOARCH=arm64 -S)"
+# explicitly, which would move the bits of exp64/tanh64/log1p64, Adam's
+# update and the sampled head. Every fused instruction the compiler emits
+# for act.go must sit on a math.FMA line (log1p64 has none, so it must show
+# no fused instruction at all); internal/nn and internal/tensor/quant may
+# hold none. Later runs replay the -S listing from the build cache.
+echo "== no implicit multiply-add fusion in act.go, nn, tensor/quant (GOARCH=arm64 -S)"
 fused_lines=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1 |
   grep -oE 'act\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)[DS]' | cut -d: -f2 | cut -d')' -f1 | sort -un || true)
 if [ -z "$fused_lines" ]; then
@@ -38,6 +39,13 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 echo "act.go: fused instructions only on math.FMA lines ($(echo $fused_lines | wc -w) lines)"
+fused_sites=$(GOARCH=arm64 go build -gcflags=-S ./internal/nn/ ./internal/tensor/quant/ 2>&1 |
+  grep -oE '[[:alnum:]_]+\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)[DS]' | cut -d')' -f1 | sort -u || true)
+if [ -n "$fused_sites" ]; then
+  echo "nn, tensor/quant: gc fused a multiply-add on arm64 (convert the product explicitly) at:" $fused_sites
+  exit 1
+fi
+echo "nn, tensor/quant: no fused instruction"
 
 # The exact matmul kernels, Adam's update and the LSTM cell's backward
 # (train_amd64.s) round each product and each sum on its own, as their Go
@@ -104,11 +112,11 @@ for gate in internal/metrics:90 internal/tracing:90 internal/serve:85 internal/s
 done
 
 # Bench smoke: the newest BENCH_pr<N>.json must not record a serial matmul
-# slowdown (the PR-5 regression class) or a >10% predict-path slowdown
-# (serial fp32 or int8-quantized inference) against its baseline chain. This
-# parses the committed report (fast) rather than re-benching; regenerate
-# with `go run ./cmd/experiments -bench -workers -1` after kernel changes.
-echo "== bench smoke (matmul_256 + predict paths vs baseline chain)"
+# slowdown (the PR-5 regression class) or a serial predict-path slowdown
+# against its baseline chain. This parses the committed report (fast)
+# rather than re-benching; regenerate with
+# `go run ./cmd/experiments -bench -workers -1` after kernel changes.
+echo "== bench smoke (matmul_256 + predict path vs baseline chain)"
 go run ./cmd/experiments -bench-check
 
 echo "== allocation regression (tape arena steady state, metrics + tracing hot paths)"
@@ -167,10 +175,9 @@ echo "== go test -race -count=10 (fork: child tapes, join merge, transpose cache
 go test -race -count=10 -run 'TestForkMatchesInterleavedTape|TestForkChildTransposeCaches|TestNestedRunTasksParallelNoDeadlock' ./internal/tensor/
 go test -race -count=10 -run 'TestForkOfflineShapeBitIdentical' ./internal/voyager/
 
-echo "== fuzz trace.Read + metrics.ParseSnapshot + quant converters + serve decoder (bounded)"
+echo "== fuzz trace.Read + metrics.ParseSnapshot + binary16 converters + serve decoder (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
 go test -run=NONE -fuzz=FuzzParseSnapshot -fuzztime=10s ./internal/metrics/
-go test -run=NONE -fuzz='^FuzzQ8Quantize$' -fuzztime=10s ./internal/tensor/quant/
 go test -run=NONE -fuzz='^FuzzF16RoundTrip$' -fuzztime=10s ./internal/tensor/quant/
 go test -run=NONE -fuzz='^FuzzDecodeRequest$' -fuzztime=10s ./internal/serve/
 
