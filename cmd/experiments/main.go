@@ -191,7 +191,7 @@ func main() {
 	for _, id := range ids {
 		switch strings.TrimSpace(id) {
 		case "table1":
-			fmt.Println(experiments.Table1())
+			fmt.Println(r.Table1())
 		case "table2":
 			fmt.Println(r.Table2())
 		case "table3":

@@ -1,6 +1,6 @@
 // Package hotalloc flags allocation sites in functions annotated
 // //hot:path — the methods guarded by the repo's AllocsPerRun budget tests
-// (TestHotPathAllocFree, TestMatMulKernelsAllocFree).
+// (TestHotPathAllocFree, TestMatMulKernelsAllocFree, TestFastPathAllocFree).
 //
 // The budget tests catch a regression only after it ships and only for the
 // exact call shapes they exercise; this analyzer points at the *line* that

@@ -23,6 +23,8 @@ import (
 
 	"voyager/internal/sortkeys"
 	"voyager/internal/tensor/quant"
+	"voyager/internal/trace"
+	"voyager/internal/vocab"
 	"voyager/internal/voyager"
 )
 
@@ -132,6 +134,12 @@ func DecodeSlot(s uint64) (pageTok, offTok int, prob float32) {
 	return int(uint32(s >> 32)), int(uint16(s >> 16)), quant.F16ToF32(uint16(s))
 }
 
+// slotTokens is DecodeSlot without the probability, which Decide does not
+// read: the binary16 conversion is a call per slot on the fast path.
+func slotTokens(s uint64) (pageTok, offTok int) {
+	return int(uint32(s >> 32)), int(uint16(s >> 16))
+}
+
 // subtable is one open-addressing hash table with bounded linear probing:
 // keys[i] holds the full 64-bit key (0 = empty), slots[i*topK : (i+1)*topK]
 // its packed candidates. Inserts always take the first empty bucket in the
@@ -225,8 +233,7 @@ const (
 	// TierMarkov: the context missed but the trigger (page, offset) pair
 	// hit the Markov fallback table.
 	TierMarkov
-	// TierMiss: both tables missed (callers typically fall back to
-	// next-line).
+	// TierMiss: both tables missed (Decide answers the next line).
 	TierMiss
 	// NumTiers sizes per-tier counters.
 	NumTiers
@@ -271,6 +278,54 @@ func (t *Table) Lookup(ctxKey, trigKey uint64) ([]uint64, Tier) {
 	return nil, TierMiss
 }
 
+// Candidate is one line Decide chose to prefetch: its address and the slot
+// tokens that named it (-1, -1 for the next-line answer to a full miss).
+type Candidate struct {
+	PageTok, OffTok int32
+	Addr            uint64
+}
+
+// Decide answers one trigger through the fallback chain: it looks up the
+// context — the trigger's PC token and hist, the HistLen most recent
+// (page, offset) pairs, oldest first and the trigger last — decodes each
+// slot against the trigger's cache line, skips a slot that does not decode
+// or names the trigger line itself or an address already chosen, and
+// appends at most degree candidates to dst. When both tables miss it
+// appends the next line. A context or Markov hit whose slots are all
+// skipped appends nothing. Decide allocates nothing when dst has room for
+// degree more candidates.
+//
+//hot:path
+func (t *Table) Decide(voc *vocab.Vocab, pcTok int, hist []TokPair, line uint64, degree int, dst []Candidate) ([]Candidate, Tier) {
+	trig := hist[len(hist)-1]
+	slots, tier := t.Lookup(ContextKey(pcTok, hist), PairKey(int(trig.Page), int(trig.Off)))
+	base := len(dst)
+next:
+	for _, s := range slots {
+		if s == 0 || len(dst)-base == degree {
+			break
+		}
+		pg, off := slotTokens(s)
+		cand, ok := voc.Decode(line, pg, off)
+		if !ok || cand == line {
+			continue
+		}
+		addr := cand << trace.LineBits
+		for _, c := range dst[base:] {
+			if c.Addr == addr {
+				continue next
+			}
+		}
+		//lint:ignore hotalloc at most degree appends; callers reuse a buffer with that room
+		dst = append(dst, Candidate{PageTok: int32(pg), OffTok: int32(off), Addr: addr})
+	}
+	if tier == TierMiss {
+		//lint:ignore hotalloc one append; callers reuse a buffer with room for degree ≥ 1
+		dst = append(dst, Candidate{PageTok: -1, OffTok: -1, Addr: (line + 1) << trace.LineBits})
+	}
+	return dst, tier
+}
+
 // Bytes returns the in-memory (= on-disk payload) size of the table arrays.
 func (t *Table) Bytes() int {
 	return 8 * (len(t.main.keys) + len(t.main.slots) + len(t.markov.keys) + len(t.markov.slots))
@@ -306,7 +361,7 @@ func (t *Table) String() string {
 
 // KeyAt computes the full-context key the online predictor would observe at
 // trigger position t of the bound trace (history clamped at the start,
-// matching both buildBatch and the online ring-buffer warmup).
+// matching both buildBatch and History's first-access backfill).
 func KeyAt(p *voyager.Predictor, t, histLen int) uint64 {
 	return keyAt(p, t, histLen, make([]TokPair, 0, histLen))
 }

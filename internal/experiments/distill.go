@@ -75,55 +75,6 @@ func heldOutPositions(n int) []int {
 	return out
 }
 
-// teacherTop1 collects the teacher's top-1 (page, offset) token pair per
-// position (-1,-1 when the teacher produces no candidate), in inference
-// batches.
-func teacherTop1(p *voyager.Predictor, positions []int) [][2]int {
-	out := make([][2]int, len(positions))
-	const batch = 256
-	for lo := 0; lo < len(positions); lo += batch {
-		hi := lo + batch
-		if hi > len(positions) {
-			hi = len(positions)
-		}
-		cands := p.PredictAt(positions[lo:hi], 1)
-		for b := range cands {
-			if len(cands[b]) == 0 {
-				out[lo+b] = [2]int{-1, -1}
-				continue
-			}
-			out[lo+b] = [2]int{cands[b][0].PageTok, cands[b][0].OffTok}
-		}
-	}
-	return out
-}
-
-// tableTop1Agreement compares the table's fallback-chain top-1 against
-// precomputed teacher pairs; positions where the teacher has no candidate
-// are skipped, a table miss on a scored position counts as disagreement.
-func tableTop1Agreement(p *voyager.Predictor, tab *distill.Table, positions []int, teacher [][2]int) float64 {
-	agree, scored := 0, 0
-	for i, pos := range positions {
-		if teacher[i][0] < 0 {
-			continue
-		}
-		scored++
-		_, pg, off := p.TokensAt(pos)
-		slots, _ := tab.Lookup(distill.KeyAt(p, pos, tab.HistLen), distill.PairKey(pg, off))
-		if len(slots) == 0 || slots[0] == 0 {
-			continue
-		}
-		sp, so, _ := distill.DecodeSlot(slots[0])
-		if sp == teacher[i][0] && so == teacher[i][1] {
-			agree++
-		}
-	}
-	if scored == 0 {
-		return 0
-	}
-	return float64(agree) / float64(scored)
-}
-
 // nsPerOp times fn with the standard bench machinery.
 func nsPerOp(fn func(b *testing.B)) int64 {
 	res := testing.Benchmark(func(b *testing.B) {
@@ -151,16 +102,15 @@ func replayNsPerPred(pf *distilled.Prefetcher, tr *trace.Trace) int64 {
 }
 
 // sweepDistill measures the size/accuracy/latency frontier for one trained
-// teacher: each table size is compiled on the first half of the stream and
-// scored on the held-out second half against the teacher, then timed
-// replaying online. Returns the sweep points plus the teacher's
-// per-prediction inference cost (batched at the model's batch width,
-// amortized per row).
+// teacher: each table size is compiled on the first half of the stream,
+// scored against the teacher on the held-out second half
+// (distill.Agreement), then timed replaying online. Returns the sweep
+// points plus the teacher's per-prediction inference cost (batched at the
+// model's batch width, amortized per row).
 func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []distillCell, fp32Ns int64) {
 	n := p.NumAccesses()
 	half := n / 2
 	held := heldOutPositions(n)
-	fp32 := teacherTop1(p, held)
 
 	// Teacher cost per prediction: one full PredictAt batch, amortized.
 	width := p.Cfg.BatchSize
@@ -192,7 +142,7 @@ func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []dis
 				TableBytes:  st.Bytes,
 				Keys:        st.Keys,
 				MarkovKeys:  st.MarkovKeys,
-				Top1VsFP32:  tableTop1Agreement(p, tab, held, fp32),
+				Top1VsFP32:  distill.Agreement(p, tab, held),
 				NsPerPred:   replayNsPerPred(pf, tr),
 			},
 			table: tab,

@@ -15,9 +15,13 @@ func smallRun(benches ...string) *Run {
 	return NewRun(o)
 }
 
+// The scaled column shows the configuration the run trains: -hidden's units
+// and no dropout, not ScaledConfig's defaults (32 units, keep 0.8).
 func TestTable1String(t *testing.T) {
-	s := Table1()
-	for _, want := range []string{"Sequence length", "25600", "Adam", "Dropout"} {
+	s := NewRun(Options{Hidden: 48}).Table1()
+	for _, want := range []string{"Sequence length", "25600", "Adam",
+		"Page and offset LSTM # units           256          48\n",
+		"Dropout keep ratio                     0.8          1\n"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Table1 missing %q:\n%s", want, s)
 		}

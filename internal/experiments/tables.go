@@ -10,10 +10,12 @@ import (
 )
 
 // Table1 renders the paper's Table 1 (Voyager hyperparameters) for both the
-// paper configuration and the scaled configuration this harness trains.
-func Table1() string {
+// paper configuration and the scaled configuration this run trains
+// (Options.voyagerConfig; the epoch length, which depends on the stream,
+// is not in the table).
+func (r *Run) Table1() string {
 	p := voyager.PaperConfig()
-	s := voyager.ScaledConfig()
+	s := r.Opts.voyagerConfig(0)
 	var b strings.Builder
 	b.WriteString("Table 1: Hyperparameters for training Voyager\n")
 	row := func(name string, pv, sv interface{}) {

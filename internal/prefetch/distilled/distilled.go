@@ -1,6 +1,6 @@
 // Package distilled replays a tabularized Voyager (internal/distill)
-// online: each access updates a tiny ring of (page, offset) context tokens,
-// hashes it, and probes the distilled table — no neural forward pass, so a
+// online: each access advances a distill.History, and Table.Decide hashes
+// its window and probes the distilled table — no neural forward pass, so a
 // prediction costs a few hash folds and at most 2·MaxProbe array reads
 // (hundreds of nanoseconds instead of a full LSTM inference).
 package distilled
@@ -20,15 +20,11 @@ type Prefetcher struct {
 	voc    *vocab.Vocab
 	degree int
 
-	// hist is the rolling context window, oldest first; until HistLen
-	// accesses have been seen it is back-filled with the first pair, the
-	// same clamping the compiler applies at the trace start.
-	hist     []distill.TokPair
-	seen     int
-	prevLine uint64
+	history distill.History
+	pairs   []distill.TokPair   // the HistLen context window, copied out of history
+	cands   []distill.Candidate // Decide's scratch; callers get fresh copies
 
 	tiers [distill.NumTiers]int
-	out   []uint64 // returned-slice scratch; callers get fresh copies
 }
 
 // New binds a table to the vocabulary of the trace it will replay. The
@@ -45,11 +41,12 @@ func New(tab *distill.Table, voc *vocab.Vocab, degree int) (*Prefetcher, error) 
 		degree = 1
 	}
 	return &Prefetcher{
-		tab:    tab,
-		voc:    voc,
-		degree: degree,
-		hist:   make([]distill.TokPair, tab.HistLen),
-		out:    make([]uint64, 0, degree),
+		tab:     tab,
+		voc:     voc,
+		degree:  degree,
+		history: distill.NewHistory(voc, tab.HistLen),
+		pairs:   make([]distill.TokPair, tab.HistLen),
+		cands:   make([]distill.Candidate, 0, degree),
 	}, nil
 }
 
@@ -58,75 +55,29 @@ func (p *Prefetcher) Name() string { return "distilled" }
 
 // Reset clears the context window (tier counters persist) so the
 // prefetcher can replay another pass over the same trace.
-func (p *Prefetcher) Reset() {
-	p.seen = 0
-}
+func (p *Prefetcher) Reset() { p.history.Reset() }
 
 // TierCounts returns how many accesses were answered by each fallback
 // tier (indexed by distill.Tier) since construction.
 func (p *Prefetcher) TierCounts() [distill.NumTiers]int { return p.tiers }
 
-// Access implements prefetch.Prefetcher: encode the access, roll the
-// context window, probe the fallback chain, and decode up to degree
-// distinct lines. On a full table miss it degrades to next-line.
+// Access implements prefetch.Prefetcher: advance the context window and
+// let the table decide (Table.Decide), which degrades to next-line on a
+// full table miss.
 func (p *Prefetcher) Access(_ int, a trace.Access) []uint64 {
-	line := trace.Line(a.Addr)
-	if p.seen == 0 {
-		p.prevLine = line
-	}
-	pTok, oTok := p.voc.EncodeAccess(p.prevLine, line)
-	p.prevLine = line
-	pair := distill.TokPair{Page: int32(pTok), Off: int32(oTok)}
-	if p.seen == 0 {
-		for i := range p.hist {
-			p.hist[i] = pair
-		}
-	} else {
-		copy(p.hist, p.hist[1:])
-		p.hist[len(p.hist)-1] = pair
-	}
-	p.seen++
-
-	key := distill.ContextKey(p.voc.PCToken(a.PC), p.hist)
-	slots, tier := p.tab.Lookup(key, distill.PairKey(pTok, oTok))
+	pcTok, line := p.history.Advance(a.PC, a.Addr)
+	p.history.Pairs(p.pairs)
+	var tier distill.Tier
+	p.cands, tier = p.tab.Decide(p.voc, pcTok, p.pairs, line, p.degree, p.cands[:0])
 	p.tiers[tier]++
-
-	p.out = p.out[:0]
-	for _, s := range slots {
-		if s == 0 {
-			break
-		}
-		pg, off, _ := distill.DecodeSlot(s)
-		cand, ok := p.voc.Decode(line, pg, off)
-		if !ok || cand == line {
-			continue
-		}
-		if dup(p.out, cand<<trace.LineBits) {
-			continue
-		}
-		p.out = append(p.out, cand<<trace.LineBits)
-		if len(p.out) == p.degree {
-			break
-		}
-	}
-	if len(p.out) == 0 && tier == distill.TierMiss {
-		p.out = append(p.out, (line+1)<<trace.LineBits)
-	}
-	if len(p.out) == 0 {
+	if len(p.cands) == 0 {
 		return nil
 	}
 	// The simulator and eval pipeline retain returned slices; hand out a
 	// fresh copy and keep the scratch for the next access.
-	res := make([]uint64, len(p.out))
-	copy(res, p.out)
-	return res
-}
-
-func dup(xs []uint64, x uint64) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
+	res := make([]uint64, len(p.cands))
+	for i, c := range p.cands {
+		res[i] = c.Addr
 	}
-	return false
+	return res
 }

@@ -76,20 +76,6 @@ func TestReplayPredictsCycle(t *testing.T) {
 	}
 }
 
-// The online key stream must match the compiler's offline KeyAt exactly —
-// the contract that makes calibration hits land in TierKey at replay.
-func TestOnlineKeysMatchCompiler(t *testing.T) {
-	tr := cyclicTrace(200)
-	pf, p := distilledOver(t, tr, 1)
-	for i := 0; i < 64; i++ {
-		pf.Access(i, tr.Accesses[i])
-		pcTok := p.Model.Vocab().PCToken(tr.Accesses[i].PC)
-		if got, want := distill.ContextKey(pcTok, pf.hist), distill.KeyAt(p, i, 3); got != want {
-			t.Fatalf("access %d: online key %#x != offline key %#x", i, got, want)
-		}
-	}
-}
-
 func TestVocabFingerprintMismatch(t *testing.T) {
 	tr := cyclicTrace(200)
 	pf, p := distilledOver(t, tr, 1)

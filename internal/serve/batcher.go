@@ -50,6 +50,7 @@ import (
 	"strconv"
 	"time"
 
+	"voyager/internal/distill"
 	"voyager/internal/trace"
 	"voyager/internal/tracing"
 	"voyager/internal/voyager"
@@ -66,8 +67,8 @@ import (
 // answering. A traced pending carries the client's span id so the batcher
 // can mark the batch on the request's cross-process timeline.
 type pending struct {
-	row   []tok3 // seqLen triples, oldest first
-	line  uint64 // trigger cache line
+	row   []distill.TokTriple // seqLen triples, oldest first
+	line  uint64              // trigger cache line
 	enq   time.Time
 	reply chan []voyager.Candidate
 
@@ -188,7 +189,7 @@ func (s *Server) runBatch(b *batcher) {
 			b.rpcTk.AsyncInstant("srv_batch", p.spanID)
 		}
 		for i, t := range p.row {
-			b.pcs[i], b.pages[i], b.offs[i] = t.pc, t.page, t.off
+			b.pcs[i], b.pages[i], b.offs[i] = t.PC, t.Page, t.Off
 		}
 		b.tb.Add(b.pcs, b.pages, b.offs)
 	}

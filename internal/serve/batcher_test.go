@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"voyager/internal/distill"
 	"voyager/internal/metrics"
 	"voyager/internal/voyager"
 )
@@ -72,10 +73,10 @@ func TestBatcherCoalescesQueuedRows(t *testing.T) {
 	pends := make([]pending, rows)
 	for i := range pends {
 		pos := seqLen + 37*i
-		row := make([]tok3, seqLen)
+		row := make([]distill.TokTriple, seqLen)
 		for j := range row {
 			pc, page, off := fx.p.TokensAt(pos - seqLen + 1 + j)
-			row[j] = tok3{pc: int32(pc), page: int32(page), off: int32(off)}
+			row[j] = distill.TokTriple{PC: int32(pc), Page: int32(page), Off: int32(off)}
 		}
 		positions[i] = pos
 		pends[i] = pending{row: row, line: fx.p.LineAt(pos), enq: time.Now(),

@@ -3,10 +3,13 @@
 // the batchers for the model tier.
 //
 // Per-connection scratch (frame buffers, row snapshot, reply channel,
-// history window) is allocated once at connection setup and reused for
-// every request, so the steady-state fast path allocates nothing: the
-// exact-latency window (session advance through candidates ready) runs
-// without triggering the collector even at bench stream counts.
+// history window, decided candidates) is allocated once at connection
+// setup and reused for every request, so the steady-state fast path
+// allocates nothing: the exact-latency window (session advance through
+// candidates ready) runs without triggering the collector even at bench
+// stream counts. Its two steps, distill.History.Advance and
+// distill.Table.Decide, are //hot:path, and TestFastPathAllocFree in
+// internal/distill holds Advance → Pairs → Decide to zero allocations.
 package serve
 
 import (
@@ -25,11 +28,12 @@ import (
 // connState is one handler's reusable scratch.
 type connState struct {
 	resp    Response
-	out     []byte // encoded response frame
-	rowBuf  []tok3 // model-tier window snapshot
-	histBuf []distill.TokPair
-	lineBuf []uint64 // predicted lines handed to the quality scorer
-	pend    pending  // reused: the handler blocks on reply before the next request
+	out     []byte              // encoded response frame
+	window  []distill.TokTriple // model-tier window snapshot
+	pairs   []distill.TokPair   // fast-tier history window
+	cands   []distill.Candidate // fast-tier decisions
+	lineBuf []uint64            // predicted lines handed to the quality scorer
+	pend    pending             // reused: the handler blocks on reply before the next request
 	reply   chan []voyager.Candidate
 
 	streamID uint64 // cached session lookup
@@ -49,10 +53,11 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 	bw := bufio.NewWriterSize(c, 4096)
 	tk := s.obs.connTrack(id)
 	cs := &connState{
-		out:     make([]byte, 0, 4+respHeaderLen+16*candLen),
-		rowBuf:  make([]tok3, s.seqLen),
-		histBuf: make([]distill.TokPair, s.histLen),
-		reply:   make(chan []voyager.Candidate, 1),
+		out:    make([]byte, 0, 4+respHeaderLen+16*candLen),
+		window: make([]distill.TokTriple, s.seqLen),
+		pairs:  make([]distill.TokPair, s.histLen),
+		cands:  make([]distill.Candidate, 0, s.degree),
+		reply:  make(chan []voyager.Candidate, 1),
 	}
 	if s.cfg.Quality != nil {
 		cs.lineBuf = make([]uint64, 0, s.degree)
@@ -129,13 +134,12 @@ func (s *Server) predict(cs *connState, req Request) {
 func (s *Server) predictModel(cs *connState, st *session, req Request) {
 	t0 := time.Now()
 	st.mu.Lock()
-	st.advance(s.voc, req.PC, req.Addr)
-	st.copyWindow(cs.rowBuf, s.seqLen)
-	line := st.line
+	_, line := st.history.Advance(req.PC, req.Addr)
+	st.history.Triples(cs.window)
 	st.mu.Unlock()
 	st.lastUsed.Store(t0.UnixNano())
 
-	cs.pend = pending{row: cs.rowBuf, line: line, enq: t0, reply: cs.reply,
+	cs.pend = pending{row: cs.window, line: line, enq: t0, reply: cs.reply,
 		traced: req.HasCtx, spanID: req.SpanID}
 	s.queue <- &cs.pend
 	cands := <-cs.reply
@@ -166,47 +170,26 @@ func (s *Server) predictModel(cs *connState, st *session, req Request) {
 	}
 }
 
-// predictFast answers inline from the distilled table, mirroring
-// distilled.Prefetcher.Access exactly: decode slots against the trigger,
-// skip the trigger line, dedup, cap at degree, and degrade to next-line on
-// a full table miss. The candidate records carry the decoded address (the
+// predictFast answers inline from the distilled table: the session's
+// history window goes to Table.Decide, the same decision the distilled
+// replayer makes. The candidate records carry the decoded address (the
 // fast tier's contract) plus the slot's token ids; ScoreBits is 0 — the
 // table stores f16 probabilities, not model scores.
 func (s *Server) predictFast(cs *connState, st *session, req Request) {
 	t0 := time.Now()
 	st.mu.Lock()
-	pcTok, line := st.advance(s.voc, req.PC, req.Addr)
-	st.copyPairs(cs.histBuf, s.histLen)
-	trig := st.ring[st.head]
+	pcTok, line := st.history.Advance(req.PC, req.Addr)
+	st.history.Pairs(cs.pairs)
 	st.mu.Unlock()
 
-	key := distill.ContextKey(int(pcTok), cs.histBuf)
-	slots, tier := s.cfg.Table.Lookup(key, distill.PairKey(int(trig.page), int(trig.off)))
-
+	var tier distill.Tier
+	cs.cands, tier = s.cfg.Table.Decide(s.voc, pcTok, cs.pairs, line, s.degree, cs.cands[:0])
 	cs.resp.Status = StatusOK
 	cs.resp.Tier = TierFast
 	cs.resp.Err = ""
 	out := cs.resp.Cands[:0]
-	for _, slot := range slots {
-		if slot == 0 {
-			break
-		}
-		pg, off, _ := distill.DecodeSlot(slot)
-		cand, ok := s.voc.Decode(line, pg, off)
-		if !ok || cand == line {
-			continue
-		}
-		addr := cand << trace.LineBits
-		if dupAddr(out, addr) {
-			continue
-		}
-		out = append(out, Candidate{PageTok: int32(pg), OffTok: int32(off), Addr: addr})
-		if len(out) == s.degree {
-			break
-		}
-	}
-	if len(out) == 0 && tier == distill.TierMiss {
-		out = append(out, Candidate{PageTok: -1, OffTok: -1, Addr: (line + 1) << trace.LineBits})
+	for _, c := range cs.cands {
+		out = append(out, Candidate{PageTok: c.PageTok, OffTok: c.OffTok, Addr: c.Addr})
 	}
 	cs.resp.Cands = out
 	lat := time.Since(t0)
@@ -254,24 +237,15 @@ func (cs *connState) predictedLines(cands []Candidate) []uint64 {
 // blocks: a full admission queue drops the sample and counts the drop,
 // because shadow work must never stall a handler.
 func (s *Server) enqueueShadow(st *session, fastTop uint64) {
-	p := &pending{row: make([]tok3, s.seqLen), enq: time.Now(),
+	p := &pending{row: make([]distill.TokTriple, s.seqLen), enq: time.Now(),
 		shadow: true, fastTop: fastTop}
 	st.mu.Lock()
-	st.copyWindow(p.row, s.seqLen)
-	p.line = st.line
+	st.history.Triples(p.row)
+	p.line = st.history.Line()
 	st.mu.Unlock()
 	select {
 	case s.queue <- p:
 	default:
 		s.cfg.Quality.RecordShadowDropped()
 	}
-}
-
-func dupAddr(cands []Candidate, addr uint64) bool {
-	for _, c := range cands {
-		if c.Addr == addr {
-			return true
-		}
-	}
-	return false
 }

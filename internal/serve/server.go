@@ -5,16 +5,16 @@
 //
 // Architecture. Each connection gets a handler goroutine that decodes
 // length-prefixed request frames (proto.go) and advances the stream's
-// session (session.go). Fast-tier requests are answered inline — a hash
-// probe of the distilled table, no queuing. Model-tier requests are posted
-// to an admission queue, where one batcher goroutine per CPU, each with its
-// own inference worker, takes turns coalescing them into PredictTokenBatch
-// calls (batcher.go) of up to MaxBatch rows: each batch takes the requests
-// already queued and runs at once, with no fill timer, side by side with
-// the other batchers' batches. The model's forward pass is row-independent
-// at inference, so neither coalescing nor the worker a batch runs on
-// changes any stream's answers (the batching-invariance and
-// golden-differential tests pin this).
+// session (session.go). Fast-tier requests are answered inline by
+// distill.Table.Decide, the distilled replayer's own decision, with no
+// queuing. Model-tier requests are posted to an admission queue, where one
+// batcher goroutine per CPU, each with its own inference worker, takes
+// turns coalescing them into PredictTokenBatch calls (batcher.go) of up to
+// MaxBatch rows: each batch takes the requests already queued and runs at
+// once, with no fill timer, side by side with the other batchers' batches.
+// The model's forward pass is row-independent at inference, so neither
+// coalescing nor the worker a batch runs on changes any stream's answers
+// (the batching-invariance and golden-differential tests pin this).
 //
 // Shutdown protocol (the waitleak contract): Close stops the listener, sets
 // an immediate read deadline on every open connection so idle handlers
@@ -155,17 +155,13 @@ func New(cfg Config) (*Server, error) {
 		}
 		histLen = cfg.Table.HistLen
 	}
-	ringCap := mcfg.SeqLen
-	if histLen > ringCap {
-		ringCap = histLen
-	}
 	s := &Server{
 		cfg:      cfg,
 		voc:      voc,
 		seqLen:   mcfg.SeqLen,
 		degree:   cfg.Degree,
 		histLen:  histLen,
-		sessions: newSessionTable(ringCap, cfg.Metrics, cfg.Quality),
+		sessions: newSessionTable(voc, max(mcfg.SeqLen, histLen), cfg.Metrics, cfg.Quality),
 		queue:    make(chan *pending, cfg.QueueDepth),
 		obs:      newServeObs(cfg.Metrics, cfg.Tracer),
 		turn:     make(chan struct{}, 1),

@@ -1,14 +1,12 @@
 // Per-stream session state. A session is the serving-side replacement for
-// the trainer's pre-encoded trace: a ring of (pc, page, offset) token
-// triples plus the previous cache line, advanced one access at a time.
-//
-// Encoding matches Predictor/newPredictor and the distilled replayer
-// exactly, which is what makes the serving path bit-comparable to the
-// offline ones: the first access of a stream encodes against its own line
-// (prevLine starts at the stream's first line), and until the ring has
-// filled it is back-filled with the first triple — the same clamp
-// buildBatch applies at a trace start (history index < 0 reads access 0)
-// and distilled.Prefetcher applies to its history window.
+// the trainer's pre-encoded trace: a distill.History, the ring of encoded
+// (pc, page, offset) triples the distilled replayer also holds, advanced
+// one access at a time. One ring of max(SeqLen, HistLen) triples serves
+// both tiers: the model tier snapshots its last SeqLen triples, the fast
+// tier its last HistLen (page, offset) pairs. History owns the encoding
+// (a stream's first access encodes against its own line and backfills the
+// ring, the clamp buildBatch and KeyAt apply at a trace start), which is
+// what makes the serving path bit-comparable to the offline ones.
 package serve
 
 import (
@@ -20,34 +18,17 @@ import (
 	"voyager/internal/metrics"
 	"voyager/internal/serve/quality"
 	"voyager/internal/sortkeys"
-	"voyager/internal/trace"
 	"voyager/internal/vocab"
 )
 
-// tok3 is one encoded access: the (pc, page, offset) token triple.
-type tok3 struct {
-	pc, page, off int32
-}
-
-// session holds one stream's context. All mutable state is guarded by mu
-// except lastUsed and gone, which the janitor reads/writes without taking
-// the session lock.
+// session holds one stream's context. history is guarded by mu; lastUsed and
+// gone are read and written by the janitor without taking the session lock.
 type session struct {
-	mu sync.Mutex
-
-	// ring holds the last cap(ring) encoded accesses; head is the index of
-	// the most recent one (the trigger). seen counts total accesses.
-	ring []tok3
-	head int
-	seen uint64
-
-	prevLine uint64
-	// line is the trigger's cache line (valid once seen > 0), needed to
-	// decode candidate tokens into addresses.
-	line uint64
+	mu      sync.Mutex
+	history distill.History
 
 	// lastUsed is nanoseconds on a monotonic-ish clock (time.Now().
-	// UnixNano()), written on every advance and read by the janitor.
+	// UnixNano()), written on every request and read by the janitor.
 	lastUsed atomic.Int64
 	// gone is set when the table drops the session (idle eviction or
 	// OpClose); a handler holding a cached pointer re-fetches on next use.
@@ -59,64 +40,13 @@ type session struct {
 	qs *quality.Session
 }
 
-// advance encodes one access into the ring under the session lock and
-// returns the trigger's PC token and cache line.
-func (st *session) advance(voc *vocab.Vocab, pc, addr uint64) (pcTok int32, line uint64) {
-	line = trace.Line(addr)
-	if st.seen == 0 {
-		st.prevLine = line
-	}
-	pTok, oTok := voc.EncodeAccess(st.prevLine, line)
-	st.prevLine = line
-	st.line = line
-	tr := tok3{pc: int32(voc.PCToken(pc)), page: int32(pTok), off: int32(oTok)}
-	if st.seen == 0 {
-		for i := range st.ring {
-			st.ring[i] = tr
-		}
-		st.head = 0
-	} else {
-		st.head++
-		if st.head == len(st.ring) {
-			st.head = 0
-		}
-		st.ring[st.head] = tr
-	}
-	st.seen++
-	return tr.pc, line
-}
-
-// copyWindow writes the last n triples (oldest first, trigger last) into
-// dst[:n]. Must hold mu. n must be ≤ cap(ring).
-func (st *session) copyWindow(dst []tok3, n int) {
-	for i := 0; i < n; i++ {
-		j := st.head - (n - 1 - i)
-		if j < 0 {
-			j += len(st.ring)
-		}
-		dst[i] = st.ring[j]
-	}
-}
-
-// copyPairs writes the last n (page, offset) pairs (oldest first, trigger
-// last) into dst[:n] — the fast tier's history window, same layout the
-// distillation compiler hashed. Must hold mu. n must be ≤ cap(ring).
-func (st *session) copyPairs(dst []distill.TokPair, n int) {
-	for i := 0; i < n; i++ {
-		j := st.head - (n - 1 - i)
-		if j < 0 {
-			j += len(st.ring)
-		}
-		dst[i] = distill.TokPair{Page: st.ring[j].page, Off: st.ring[j].off}
-	}
-}
-
 // sessionTable maps stream ids to sessions. get/remove are O(1) map
 // operations; evictIdle iterates in sorted-key order (deterministic scans,
 // per the maporder analyzer).
 type sessionTable struct {
 	mu      sync.Mutex
 	m       map[uint64]*session
+	voc     *vocab.Vocab
 	ringCap int
 	quality *quality.Tracker
 
@@ -124,9 +54,10 @@ type sessionTable struct {
 	evicted *metrics.Counter
 }
 
-func newSessionTable(ringCap int, reg *metrics.Registry, q *quality.Tracker) *sessionTable {
+func newSessionTable(voc *vocab.Vocab, ringCap int, reg *metrics.Registry, q *quality.Tracker) *sessionTable {
 	return &sessionTable{
 		m:       make(map[uint64]*session),
+		voc:     voc,
 		ringCap: ringCap,
 		quality: q,
 		active:  reg.Gauge("serve_sessions_active"),
@@ -139,7 +70,7 @@ func (t *sessionTable) get(id uint64) *session {
 	t.mu.Lock()
 	st := t.m[id]
 	if st == nil {
-		st = &session{ring: make([]tok3, t.ringCap), qs: t.quality.NewSession()}
+		st = &session{history: distill.NewHistory(t.voc, t.ringCap), qs: t.quality.NewSession()}
 		st.lastUsed.Store(time.Now().UnixNano())
 		t.m[id] = st
 		t.active.Set(float64(len(t.m)))

@@ -46,7 +46,7 @@ func (m *Model) Config() Config { return m.cfg }
 
 // TokenBatch assembles token sequences for PredictTokenBatch without a bound
 // trace — the serving-side equivalent of Predictor.buildBatch, fed from
-// per-stream session rings instead of a pre-encoded trace. Row storage is
+// per-stream session histories instead of a pre-encoded trace. Row storage is
 // reused across Reset cycles, so a long-running server's steady state
 // allocates nothing here. Not safe for concurrent use; each serving batcher
 // owns one.

@@ -119,11 +119,12 @@ done
 echo "== bench smoke (matmul_256 + predict path vs baseline chain)"
 go run ./cmd/experiments -bench-check
 
-echo "== allocation regression (tape arena steady state, metrics + tracing hot paths)"
+echo "== allocation regression (tape arena steady state, metrics + tracing + fast-tier hot paths)"
 go test -run 'TestSteadyStateAllocBudget' ./internal/voyager/
 go test -run 'TestArenaSteadyStateAllocationFree' ./internal/tensor/
 go test -run 'TestHotPathAllocFree' ./internal/metrics/
 go test -run 'TestNilTracerAllocFree' ./internal/tracing/
+go test -run 'TestFastPathAllocFree' ./internal/distill/
 
 # The portable path, run rather than only compiled: on 386 the scalar
 # activations and Go kernels take every call, with math.FMA in software.
