@@ -194,47 +194,10 @@ func BenchmarkVoyagerTrainSmall(b *testing.B) {
 
 // --- Data-parallel engine benchmarks --------------------------------------
 //
-// The -bench mode of cmd/experiments times the same stages and records them
-// to BENCH_pr1.json; these testing.B twins make them available to
-// `go test -bench` sweeps alongside the artifact benchmarks.
-
-func benchMatPair(dim int) (*tensor.Mat, *tensor.Mat) {
-	rng := rand.New(rand.NewSource(3))
-	a, bm := tensor.NewMat(dim, dim), tensor.NewMat(dim, dim)
-	a.Uniform(rng, 1)
-	bm.Uniform(rng, 1)
-	return a, bm
-}
-
-func BenchmarkMatMul256(b *testing.B) {
-	b.ReportAllocs()
-	a, bm := benchMatPair(256)
-	dst := tensor.NewMat(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(dst, a, bm)
-	}
-}
-
-func BenchmarkMatMulATransB256(b *testing.B) {
-	b.ReportAllocs()
-	a, bm := benchMatPair(256)
-	dst := tensor.NewMat(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulATransB(dst, a, bm)
-	}
-}
-
-func BenchmarkMatMulABTrans256(b *testing.B) {
-	b.ReportAllocs()
-	a, bm := benchMatPair(256)
-	dst := tensor.NewMat(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulABTrans(dst, a, bm)
-	}
-}
+// One LSTM step, a TrainBatch optimizer step at Workers=1 and at the auto
+// width, a predict pass and the Figure-5 pipeline at the auto width, for
+// `go test -bench` sweeps alongside the artifact benchmarks. The matmul
+// kernels' benchmarks live with the kernels, in internal/tensor.
 
 func BenchmarkLSTMStep(b *testing.B) {
 	b.ReportAllocs()

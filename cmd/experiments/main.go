@@ -5,7 +5,6 @@
 //	go run ./cmd/experiments -run all
 //	go run ./cmd/experiments -run table2,fig7 -accesses 24000 -hidden 64
 //	go run ./cmd/experiments -run fig15 -benchmarks pr,soplex
-//	go run ./cmd/experiments -bench -workers -1 -bench-out BENCH_pr1.json
 //
 // Artifact ids: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 // fig12 fig15 fig17 delta distill. "fig10" and "fig11" run together, as do
@@ -30,20 +29,16 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "comma-separated artifact ids or 'all'")
-		accesses   = flag.Int("accesses", 48_000, "raw trace length per benchmark")
-		epochs     = flag.Int("epochs", 4, "online-protocol epochs per stream")
-		hidden     = flag.Int("hidden", 64, "voyager/delta-lstm LSTM units")
-		passes     = flag.Int("passes", 4, "training passes per epoch")
-		window     = flag.Int("window", 10, "unified-metric window")
-		seed       = flag.Int64("seed", 42, "randomness seed")
-		benches    = flag.String("benchmarks", "", "comma-separated benchmark subset (default: per-figure lists)")
-		workers    = flag.Int("workers", 0, "voyager data-parallel width (0/1 serial, -1 auto)")
-		bench      = flag.Bool("bench", false, "run the performance bench suite instead of artifacts")
-		benchCheck = flag.Bool("bench-check", false, "validate the newest BENCH_pr<N>.json (fail if matmul_256 or the predict paths regressed) and exit")
-		benchOut   = flag.String("bench-out", "auto", "bench suite JSON output path (auto: BENCH_pr<latest+1>.json)")
-		benchBase  = flag.String("bench-baseline", "auto", "prior bench JSON to diff against (auto: latest BENCH_pr<N>.json, \"\" disables)")
-		quiet      = flag.Bool("q", false, "suppress progress output")
+		run      = flag.String("run", "all", "comma-separated artifact ids or 'all'")
+		accesses = flag.Int("accesses", 48_000, "raw trace length per benchmark")
+		epochs   = flag.Int("epochs", 4, "online-protocol epochs per stream")
+		hidden   = flag.Int("hidden", 64, "voyager/delta-lstm LSTM units")
+		passes   = flag.Int("passes", 4, "training passes per epoch")
+		window   = flag.Int("window", 10, "unified-metric window")
+		seed     = flag.Int64("seed", 42, "randomness seed")
+		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: per-figure lists)")
+		workers  = flag.Int("workers", 0, "voyager data-parallel width (0/1 serial, -1 auto)")
+		quiet    = flag.Bool("q", false, "suppress progress output")
 
 		metricsOut  = flag.String("metrics", "", "stream NDJSON metric snapshots to this file")
 		metricsHTTP = flag.String("metrics-http", "", "serve /metrics, /trace and /debug/pprof on this address (e.g. localhost:6060)")
@@ -54,15 +49,6 @@ func main() {
 		provOut    = flag.String("provenance", "", "write per-benchmark Voyager provenance tables (JSON) to this file")
 	)
 	flag.Parse()
-	if *benchCheck {
-		msg, err := experiments.CheckBenchReport(".")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(msg)
-		return
-	}
 	if *traceClock != "wall" && *traceClock != "logical" {
 		fmt.Fprintf(os.Stderr, "experiments: -trace-clock must be wall or logical, got %q\n", *traceClock)
 		os.Exit(2)
@@ -71,18 +57,6 @@ func main() {
 	if *workers < -1 {
 		fmt.Fprintf(os.Stderr, "invalid -workers %d (0 or 1 serial, -1 auto, N>1 parallel)\n", *workers)
 		os.Exit(2)
-	}
-	// The delta chain baselines each bench report against the latest prior
-	// one by number, so PR numbering gaps (a PR that didn't re-bench) don't
-	// point a report at a nonexistent file.
-	if *benchBase == "auto" || *benchOut == "auto" {
-		latest, n := experiments.LatestBenchReportPath(".")
-		if *benchBase == "auto" {
-			*benchBase = latest
-		}
-		if *benchOut == "auto" {
-			*benchOut = fmt.Sprintf("BENCH_pr%d.json", n+1)
-		}
 	}
 	opts := experiments.DefaultOptions()
 	opts.Accesses = *accesses
@@ -128,57 +102,6 @@ func main() {
 	opts.Metrics = sink.Registry()
 	if addr := sink.HTTPAddr(); addr != "" {
 		fmt.Printf("metrics: http://%s/metrics (trace at /trace, pprof at /debug/pprof/)\n", addr)
-	}
-	closeSink := func() {
-		if provSet != nil {
-			fmt.Println(provSet.Report(label.SchemeNames()))
-			if err := provSet.WriteFile(*provOut, label.SchemeNames()); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: provenance: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("provenance written to %s\n", *provOut)
-		}
-		if err := tracer.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: tracing: %v\n", err)
-			os.Exit(1)
-		}
-		if *traceOut != "" {
-			fmt.Printf("trace written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
-		}
-		if err := sink.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *bench {
-		report, err := opts.Bench(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchBase != "" {
-			if data, err := os.ReadFile(*benchBase); err == nil {
-				if base, err := experiments.LoadBenchReport(data); err == nil {
-					report.Compare(base, *benchBase)
-				} else {
-					fmt.Fprintf(os.Stderr, "bench: baseline %s unreadable: %v\n", *benchBase, err)
-				}
-			}
-		}
-		fmt.Println(report)
-		data, err := report.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-		closeSink()
-		return
 	}
 	r := experiments.NewRun(opts)
 
@@ -226,5 +149,23 @@ func main() {
 	if !*quiet {
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Second))
 	}
-	closeSink()
+	if provSet != nil {
+		fmt.Println(provSet.Report(label.SchemeNames()))
+		if err := provSet.WriteFile(*provOut, label.SchemeNames()); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: provenance: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("provenance written to %s\n", *provOut)
+	}
+	if err := tracer.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: tracing: %v\n", err)
+		os.Exit(1)
+	}
+	if *traceOut != "" {
+		fmt.Printf("trace written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
+	}
+	if err := sink.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: metrics: %v\n", err)
+		os.Exit(1)
+	}
 }

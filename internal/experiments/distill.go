@@ -48,13 +48,13 @@ func (r *Run) distilledFor(name string) [][]uint64 {
 // harness: the distilled table against its fp32 teacher on the
 // calibration-held-out half of the stream.
 type DistillPoint struct {
-	Benchmark   string  `json:"benchmark,omitempty"`
-	Log2Buckets int     `json:"log2_buckets"`
-	TableBytes  int     `json:"table_bytes"`
-	Keys        int     `json:"keys"`
-	MarkovKeys  int     `json:"markov_keys"`
-	Top1VsFP32  float64 `json:"top1_agreement_fp32"`
-	NsPerPred   int64   `json:"ns_per_prediction"`
+	Benchmark   string
+	Log2Buckets int
+	TableBytes  int
+	Keys        int
+	MarkovKeys  int
+	Top1VsFP32  float64
+	NsPerPred   int64
 }
 
 // heldOutPositions samples up to 2048 trigger positions, evenly strided,
@@ -107,7 +107,7 @@ func replayNsPerPred(pf *distilled.Prefetcher, tr *trace.Trace) int64 {
 // (distill.Agreement), then timed replaying online. Returns the sweep
 // points plus the teacher's per-prediction inference cost (batched at the
 // model's batch width, amortized per row).
-func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []distillCell, fp32Ns int64) {
+func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []DistillPoint, fp32Ns int64) {
 	n := p.NumAccesses()
 	half := n / 2
 	held := heldOutPositions(n)
@@ -136,26 +136,16 @@ func sweepDistill(p *voyager.Predictor, tr *trace.Trace, log2s []int) (pts []dis
 			panic(err)
 		}
 		st := tab.Stats()
-		pts = append(pts, distillCell{
-			point: DistillPoint{
-				Log2Buckets: lg,
-				TableBytes:  st.Bytes,
-				Keys:        st.Keys,
-				MarkovKeys:  st.MarkovKeys,
-				Top1VsFP32:  distill.Agreement(p, tab, held),
-				NsPerPred:   replayNsPerPred(pf, tr),
-			},
-			table: tab,
+		pts = append(pts, DistillPoint{
+			Log2Buckets: lg,
+			TableBytes:  st.Bytes,
+			Keys:        st.Keys,
+			MarkovKeys:  st.MarkovKeys,
+			Top1VsFP32:  distill.Agreement(p, tab, held),
+			NsPerPred:   replayNsPerPred(pf, tr),
 		})
 	}
 	return pts, fp32Ns
-}
-
-// distillCell pairs a sweep point with its compiled table so callers can
-// reuse one (the bench harness replays the default-size table online).
-type distillCell struct {
-	point DistillPoint
-	table *distill.Table
 }
 
 // DistillResult is the cmd/experiments "distill" artifact: the differential
@@ -176,9 +166,8 @@ func (r *Run) DistillStudy() *DistillResult {
 		vp := r.voyagerFor(name)
 		st := r.streamFor(name)
 		r.Opts.logf("distill study: %s", name)
-		cells, fp32Ns := sweepDistill(vp, st.Trace, distillSweepLog2s)
-		for _, c := range cells {
-			p := c.point
+		pts, fp32Ns := sweepDistill(vp, st.Trace, distillSweepLog2s)
+		for _, p := range pts {
 			p.Benchmark = name
 			res.Rows = append(res.Rows, p)
 		}

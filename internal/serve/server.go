@@ -89,8 +89,9 @@ type Config struct {
 
 	// FastLatency/ModelLatency, when set, record exact per-request
 	// prediction-path nanoseconds (session advance through candidates
-	// ready) for each tier — the bench harness uses these because the
-	// log2 SLO histograms cannot resolve a sub-microsecond p99.
+	// ready) for each tier — perfbench and the quality-overhead gate use
+	// these because the log2 SLO histograms cannot resolve a
+	// sub-microsecond p99.
 	FastLatency  *LatencyRecorder
 	ModelLatency *LatencyRecorder
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // BenchHarness holds a model bound to a trace plus one representative
-// prepared minibatch, so benchmarks (bench_test.go, cmd/experiments -bench)
-// can time TrainBatch / PredictBatch steps without the online protocol's
-// epoch machinery around them.
+// prepared minibatch, so benchmarks (bench_test.go, perfbench's
+// offline-train workload, the paired overhead gates) can time TrainBatch /
+// PredictBatch steps without the online protocol's epoch machinery around
+// them.
 type BenchHarness struct {
 	p   *Predictor
 	opt *nn.Adam

@@ -111,13 +111,18 @@ for gate in internal/metrics:90 internal/tracing:90 internal/serve:85 internal/s
     printf "coverage: %s %.1f%% (floor %d%%)\n", p, m, f }'
 done
 
-# Bench smoke: the newest BENCH_pr<N>.json must not record a serial matmul
-# slowdown (the PR-5 regression class) or a serial predict-path slowdown
-# against its baseline chain. This parses the committed report (fast)
-# rather than re-benching; regenerate with
-# `go run ./cmd/experiments -bench -workers -1` after kernel changes.
-echo "== bench smoke (matmul_256 + predict path vs baseline chain)"
-go run ./cmd/experiments -bench-check
+# Paired gates (internal/pairgate): each Benchmark...Gate runs 10 pairs of
+# a base side and a change side in one process, the sides' calls
+# alternating within a pair and the side that goes first alternating
+# between pairs, and fails only when at least 9 of the 10 ratios (change /
+# base) exceed its budget. Every gate logs its sorted ratios. The vector
+# kernels against the Go kernels at 256x256 (<= 0.5; amd64 with AVX2,
+# else skipped), a train step with metrics on and with the span tracer
+# recording against one with neither (<= 1.03, <= 1.05), and the fast
+# tier's p99 with quality telemetry on against off (<= 1.05). -p 1 runs
+# one package at a time, so no gate shares the CPUs with another; ~12 s.
+echo "== paired gates (vector kernels, metrics, trace, quality overheads)"
+go test -p 1 -run '^$' -bench '^BenchmarkGate' -benchtime 1x ./internal/tensor/ ./internal/voyager/ ./internal/serve/
 
 echo "== allocation regression (tape arena steady state, metrics + tracing + fast-tier hot paths)"
 go test -run 'TestSteadyStateAllocBudget' ./internal/voyager/
