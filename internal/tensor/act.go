@@ -12,7 +12,8 @@ import "math"
 // GODEBUG setting and the Go release. log1p64, for the BCE loss, is math's
 // log1p transcribed the same way. sigmoidRow, tanhRow and bceTermRow are
 // the row forms: they run four lanes per instruction in assembly where the
-// CPU has AVX2 and FMA, with the same roundings as the scalar functions.
+// CPU has AVX2 and FMA (sigmoidRow and tanhRow eight where it also has
+// AVX-512F), with the same roundings as the scalar functions.
 
 // Constants of math.Exp's amd64 kernel (src/math/exp_amd64.s).
 const (
@@ -274,15 +275,18 @@ func tanh32(x float32) float32 {
 }
 
 // sigmoidRow sets dst[i] = sigmoid32(src[i]) for every i of src. The
-// assembly takes groups of four from the front and stops at the first
-// group with a NaN or an |x| over 700, beyond which exp's fast branch does
-// not hold; Go finishes from there, which also runs the last len(src)%4.
+// assembly takes groups of eight (AVX-512F) or four (AVX2) from the front
+// and stops at the first group with a NaN or an |x| over 700, beyond which
+// exp's fast branch does not hold; Go finishes from there, which also runs
+// the last len(src) mod 8 or 4.
 func sigmoidRow(dst, src []float32) {
 	dst = dst[:len(src)]
 	i := 0
-	if useAVX2FMA {
-		n4 := len(src) &^ 3
-		i = sigmoidAVX2(dst[:n4], src[:n4])
+	switch {
+	case useAVX512 && useAVX2FMA:
+		i = sigmoidAVX512(dst, src)
+	case useAVX2FMA:
+		i = sigmoidAVX2(dst, src)
 	}
 	for ; i < len(src); i++ {
 		dst[i] = sigmoid32(src[i])
@@ -294,9 +298,11 @@ func sigmoidRow(dst, src []float32) {
 func tanhRow(dst, src []float32) {
 	dst = dst[:len(src)]
 	i := 0
-	if useAVX2FMA {
-		n4 := len(src) &^ 3
-		i = tanhAVX2(dst[:n4], src[:n4])
+	switch {
+	case useAVX512 && useAVX2FMA:
+		i = tanhAVX512(dst, src)
+	case useAVX2FMA:
+		i = tanhAVX2(dst, src)
 	}
 	for ; i < len(src); i++ {
 		dst[i] = tanh32(src[i])

@@ -1,12 +1,14 @@
 #include "textflag.h"
 
-// The activations, four float64 lanes per instruction, with the roundings
-// of exp64, sigmoid32 and tanh32 in act.go. Inputs are widened from
-// float32 exactly and results narrowed with the default round-to-nearest,
-// as Go's conversions do.
+// The activations, four float64 lanes per instruction on AVX2 and eight on
+// AVX-512F, with the roundings of exp64, sigmoid32 and tanh32 in act.go.
+// Inputs are widened from float32 exactly and results narrowed with the
+// default round-to-nearest, as Go's conversions do. The only fused
+// instructions are exp64's packed-double steps; every float32 product and
+// sum is its own VMULPS or VADDPS.
 
 // Each constant is stored four times, one copy per lane, so it can be a
-// 256-bit memory operand.
+// 256-bit memory operand; the AVX-512 code broadcasts one copy (.BCST).
 #define DUP4(name, v) \
 	DATA name<>+0(SB)/8, v; \
 	DATA name<>+8(SB)/8, v; \
@@ -90,6 +92,93 @@ DUP4(log1plp7, $1.479819860511658591e-01)
 	VPADDQ       expbias<>(SB), Y1, Y1; \
 	VPSLLQ       $52, Y1, Y1; \
 	VMULPD       Y1, Y0, Y0
+
+// EXP8 is EXP4 on the eight lanes of Z0, instruction for instruction,
+// with each constant broadcast from its DUP4 copy. It uses AVX-512F
+// instructions only. Clobbers Z1-Z3.
+#define EXP8 \
+	VMULPD.BCST       log2e<>(SB), Z0, Z1; \
+	VCVTPD2DQ         Z1, Y2; \
+	VCVTDQ2PD         Y2, Z1; \
+	VFNMADD231PD.BCST ln2u<>(SB), Z1, Z0; \
+	VFNMADD231PD.BCST ln2l<>(SB), Z1, Z0; \
+	VMULPD.BCST       sixteenth<>(SB), Z0, Z0; \
+	VBROADCASTSD      rfact8<>(SB), Z3; \
+	VFMADD213PD.BCST  rfact7<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  rfact6<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  rfact5<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  rfact4<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  rfact3<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  half<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  one<>(SB), Z0, Z3; \
+	VMULPD            Z3, Z0, Z0; \
+	VADDPD.BCST       two<>(SB), Z0, Z3; \
+	VMULPD            Z3, Z0, Z0; \
+	VADDPD.BCST       two<>(SB), Z0, Z3; \
+	VMULPD            Z3, Z0, Z0; \
+	VADDPD.BCST       two<>(SB), Z0, Z3; \
+	VMULPD            Z3, Z0, Z0; \
+	VADDPD.BCST       two<>(SB), Z0, Z3; \
+	VFMADD213PD.BCST  one<>(SB), Z3, Z0; \
+	VPMOVSXDQ         Y2, Z1; \
+	VPADDQ.BCST       expbias<>(SB), Z1, Z1; \
+	VPSLLQ            $52, Z1, Z1; \
+	VMULPD            Z1, Z0, Z0
+
+// SIGMOID8 replaces each lane x of Z0 with 1/(1 + exp64(-x)), sigmoid32
+// before the narrowing, or jumps to fail, with AX clobbered, when a lane
+// holds a NaN or an |x| over 700. Clobbers Z1-Z3, K1 and AX.
+#define SIGMOID8(fail) \
+	VPANDQ.BCST  absmask<>(SB), Z0, Z1; \
+	VCMPPD.BCST  $0x12, sigmoidmax<>(SB), Z1, K1; \
+	KMOVW        K1, AX; \
+	CMPL         AX, $0xFF; \
+	JNE          fail; \
+	VPXORQ.BCST  signmask<>(SB), Z0, Z0; \
+	EXP8; \
+	VADDPD.BCST  one<>(SB), Z0, Z0; \
+	VBROADCASTSD one<>(SB), Z1; \
+	VDIVPD       Z0, Z1, Z0
+
+// TANH8 sets each lane of Z10 to tanh64 of the lane x of Z5, as tanhAVX2
+// does four lanes: both branches computed and blended under an opmask,
+// and x itself where x == 0. It jumps to fail, with AX clobbered, when a
+// lane holds a NaN or an |x| over 44. Clobbers Z0-Z3, Z6-Z11, K1-K3 and
+// AX.
+#define TANH8(fail) \
+	VPANDQ.BCST  absmask<>(SB), Z5, Z6; \
+	VCMPPD.BCST  $0x12, tanhmax<>(SB), Z6, K1; \
+	KMOVW        K1, AX; \
+	CMPL         AX, $0xFF; \
+	JNE          fail; \
+	VADDPD       Z6, Z6, Z0; \
+	EXP8; \
+	VADDPD.BCST  one<>(SB), Z0, Z0; \
+	VBROADCASTSD two<>(SB), Z1; \
+	VDIVPD       Z0, Z1, Z0; \
+	VBROADCASTSD one<>(SB), Z1; \
+	VSUBPD       Z0, Z1, Z0; \
+	VPANDQ.BCST  signmask<>(SB), Z5, Z1; \
+	VPORQ        Z1, Z0, Z0; \
+	VMULPD       Z5, Z5, Z7; \
+	VMULPD.BCST  tanhp0<>(SB), Z7, Z8; \
+	VADDPD.BCST  tanhp1<>(SB), Z8, Z8; \
+	VMULPD       Z7, Z8, Z8; \
+	VADDPD.BCST  tanhp2<>(SB), Z8, Z8; \
+	VADDPD.BCST  tanhq0<>(SB), Z7, Z9; \
+	VMULPD       Z7, Z9, Z9; \
+	VADDPD.BCST  tanhq1<>(SB), Z9, Z9; \
+	VMULPD       Z7, Z9, Z9; \
+	VADDPD.BCST  tanhq2<>(SB), Z9, Z9; \
+	VMULPD       Z7, Z5, Z10; \
+	VMULPD       Z8, Z10, Z10; \
+	VDIVPD       Z9, Z10, Z10; \
+	VADDPD       Z10, Z5, Z10; \
+	VCMPPD.BCST  $0x1D, tanhmid<>(SB), Z6, K2; \
+	VBLENDMPD    Z0, Z10, K2, Z10; \
+	VPXORQ       Z11, Z11, Z11; \
+	VCMPPD       $0x00, Z11, Z5, K3; \
+	VBLENDMPD    Z5, Z10, K3, Z10
 
 // LOG1P4 replaces each lane e of Y0 with log1p64(e), given Y5 = 1 + e,
 // for e in [2**-29, 1) with 1 + e below 2 - 3·2**-52 (the caller's check).
@@ -330,5 +419,212 @@ loop:
 
 done:
 	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func expAVX512(dst, src []float64)
+TEXT ·expAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	XORQ BX, BX
+
+loop:
+	LEAQ    8(BX), AX
+	CMPQ    AX, CX
+	JGT     done
+	VMOVUPD (SI)(BX*8), Z0
+	EXP8
+	VMOVUPD Z0, (DI)(BX*8)
+	MOVQ    AX, BX
+	JMP     loop
+
+done:
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX512(dst, src []float32) int
+//
+// sigmoidAVX2 on groups of eight.
+TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	XORQ BX, BX
+
+loop:
+	LEAQ      8(BX), DX
+	CMPQ      DX, CX
+	JGT       done
+	VCVTPS2PD (SI)(BX*4), Z0
+	SIGMOID8(done)
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (DI)(BX*4)
+	MOVQ      DX, BX
+	JMP       loop
+
+done:
+	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAVX512(dst, src []float32) int
+//
+// tanhAVX2 on groups of eight.
+TEXT ·tanhAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	XORQ BX, BX
+
+loop:
+	LEAQ      8(BX), DX
+	CMPQ      DX, CX
+	JGT       done
+	VCVTPS2PD (SI)(BX*4), Z5
+	TANH8(done)
+	VCVTPD2PS Z10, Y10
+	VMOVUPS   Y10, (DI)(BX*4)
+	MOVQ      DX, BX
+	JMP       loop
+
+done:
+	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func lstmCellAVX512(acts, c, tc, h, gates, cprev []float32) bool
+//
+// One row of LSTMCell's forward over the hidden width hd = len(c), a
+// multiple of 8, with gates and acts laid out as [i, f, g, o] blocks of
+// hd, in two passes of eight columns at a time:
+//
+//	acts = sigmoid32 of gate blocks i and f, tanh32 of g, sigmoid32 of o
+//	c = f*cprev + i*g;  tc = tanh32(c);  h = o*tc
+//
+// c and h are float32: one VMULPS per product and one VADDPS per sum, in
+// the Go loops' order, never fused. The groups of a pass are independent,
+// so their exp chains overlap. It returns false as soon as a lane is
+// outside SIGMOID8's or TANH8's range, having written part of the row;
+// the caller then recomputes the whole row.
+TEXT ·lstmCellAVX512(SB), NOSPLIT, $0-145
+	MOVQ acts_base+0(FP), DI
+	MOVQ c_len+32(FP), R8     // hd
+	MOVQ gates_base+96(FP), SI
+	MOVQ R8, CX
+	SHRQ $2, CX               // groups of 8 in blocks i and f
+
+sigmoidIF:
+	VCVTPS2PD (SI), Z0
+	SIGMOID8(fail)
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       sigmoidIF
+	MOVQ      R8, CX
+	SHRQ      $3, CX
+
+tanhG:
+	VCVTPS2PD (SI), Z5
+	TANH8(fail)
+	VCVTPD2PS Z10, Y10
+	VMOVUPS   Y10, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       tanhG
+	MOVQ      R8, CX
+	SHRQ      $3, CX
+
+sigmoidO:
+	VCVTPS2PD (SI), Z0
+	SIGMOID8(fail)
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       sigmoidO
+
+	MOVQ acts_base+0(FP), DI
+	MOVQ c_base+24(FP), R9
+	MOVQ tc_base+48(FP), R10
+	MOVQ h_base+72(FP), R11
+	MOVQ cprev_base+120(FP), R12
+	MOVQ R8, DX
+	SHLQ $2, DX               // gate block stride in bytes
+	LEAQ (DX)(DX*2), R13
+	MOVQ R8, CX
+	SHRQ $3, CX
+
+cell:
+	VMOVUPS   (DI)(DX*1), Y1
+	VMULPS    (R12), Y1, Y0     // f*cprev
+	VMOVUPS   (DI), Y1
+	VMULPS    (DI)(DX*2), Y1, Y1 // i*g
+	VADDPS    Y1, Y0, Y0        // c
+	VMOVUPS   Y0, (R9)
+	VCVTPS2PD Y0, Z5
+	TANH8(fail)
+	VCVTPD2PS Z10, Y10          // tanh(c)
+	VMOVUPS   Y10, (R10)
+	VMOVUPS   (DI)(R13*1), Y1
+	VMULPS    Y10, Y1, Y1       // h = o*tanh(c)
+	VMOVUPS   Y1, (R11)
+	ADDQ      $32, DI
+	ADDQ      $32, R9
+	ADDQ      $32, R10
+	ADDQ      $32, R11
+	ADDQ      $32, R12
+	DECQ      CX
+	JNZ       cell
+	MOVB      $1, ret+144(FP)
+	VZEROUPPER
+	RET
+
+fail:
+	MOVB $0, ret+144(FP)
+	VZEROUPPER
+	RET
+
+// func gatesAddAVX512(o, q, b []float32)
+//
+// For every c of b, o[c] = (o[c] + q[c]) + b[c]: sixteen lanes at a time,
+// the last len(b) mod 16 under the lane mask K1.
+TEXT ·gatesAddAVX512(SB), NOSPLIT, $0-72
+	MOVQ o_base+0(FP), DI
+	MOVQ q_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ b_len+56(FP), CX
+	XORQ BX, BX
+
+loop:
+	LEAQ    16(BX), AX
+	CMPQ    AX, CX
+	JGT     tail
+	VMOVUPS (DI)(BX*4), Z0
+	VADDPS  (SI)(BX*4), Z0, Z0
+	VADDPS  (DX)(BX*4), Z0, Z0
+	VMOVUPS Z0, (DI)(BX*4)
+	MOVQ    AX, BX
+	JMP     loop
+
+tail:
+	SUBQ      BX, CX
+	JZ        done
+	MOVL      $1, AX
+	SHLL      CX, AX
+	DECL      AX
+	KMOVW     AX, K1
+	VMOVUPS.Z (DI)(BX*4), K1, Z0
+	VMOVUPS.Z (SI)(BX*4), K1, Z1
+	VADDPS    Z1, Z0, Z0
+	VMOVUPS.Z (DX)(BX*4), K1, Z1
+	VADDPS    Z1, Z0, Z0
+	VMOVUPS   Z0, K1, (DI)(BX*4)
+
+done:
 	VZEROUPPER
 	RET

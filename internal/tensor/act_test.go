@@ -125,11 +125,27 @@ func TestTanh64MatchesMathTanh(t *testing.T) {
 // test that sees a wrong step in the macro.
 func TestExpAVX2MatchesExp64(t *testing.T) {
 	requireActAsm(t)
-	m := &bitMatcher{t: t, name: "expAVX2"}
+	checkExpAsm(t, "expAVX2", expAVX2, 4)
+}
+
+// TestExpAVX512MatchesExp64 is TestExpAVX2MatchesExp64 for the eight-lane
+// macro, EXP8.
+func TestExpAVX512MatchesExp64(t *testing.T) {
+	if !useAVX512 || !useAVX2FMA {
+		t.Skip("no AVX-512F with FMA: the eight-lane assembly does not run here")
+	}
+	checkExpAsm(t, "expAVX512", expAVX512, 8)
+}
+
+// checkExpAsm holds exp, an assembly routine of the given lane count, to
+// exp64 bit for bit over [-700, 700]: special values, random values and a
+// fine sweep.
+func checkExpAsm(t *testing.T, name string, exp func(dst, src []float64), lanes int) {
+	m := &bitMatcher{t: t, name: name}
 	src := make([]float64, 0, 4096)
 	dst := make([]float64, 4096)
 	flush := func() {
-		expAVX2(dst, src)
+		exp(dst, src)
 		for i, x := range src {
 			m.check(x, dst[i], exp64(x))
 		}
@@ -153,7 +169,7 @@ func TestExpAVX2MatchesExp64(t *testing.T) {
 	for i := range 7_000_001 {
 		add(-700 + float64(i)*2e-4)
 	}
-	for len(src)%4 != 0 {
+	for len(src)%lanes != 0 {
 		add(0)
 	}
 	flush()
@@ -451,6 +467,14 @@ func (f *rowFeeder) flush() {
 	f.buf = f.buf[:0]
 }
 
+// fallbackSpecials are inputs outside the assembly's range for sigmoid
+// (±Inf, NaNs, 701) or tanh (also -45), so a row holding one runs on from
+// there, or whole, in Go.
+var fallbackSpecials = []float32{
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00000), 701, -45,
+}
+
 // requireActAsm skips a test of the assembly where it does not run: a
 // sweep there would only compare the scalar functions with themselves (on
 // math.FMA's slow software path, off amd64).
@@ -462,11 +486,16 @@ func requireActAsm(t *testing.T) {
 }
 
 // TestActivationRowsMatchScalar holds sigmoidRow and tanhRow to sigmoid32
-// and tanh32, bit for bit: a stride over every float32 bit pattern in the
-// vector path's range, every float32 around tanh's 0.625 branch point,
-// zeros and subnormals, the 44 and 700 limits, non-finite values that
-// force the Go fallback mid-row, and rows too short for the assembly.
+// and tanh32, bit for bit, on every path the host runs: a stride over
+// every float32 bit pattern in the vector path's range, every float32
+// around tanh's 0.625 branch point, zeros and subnormals, the 44 and 700
+// limits, out-of-range values that force the Go fallback mid-row, and
+// rows too short for the assembly.
 func TestActivationRowsMatchScalar(t *testing.T) {
+	onPaths(t, checkActivationRows)
+}
+
+func checkActivationRows(t *testing.T) {
 	t.Run("stride61", func(t *testing.T) {
 		requireActAsm(t)
 		f := newRowFeeder(t)
@@ -518,19 +547,17 @@ func TestActivationRowsMatchScalar(t *testing.T) {
 		f.flush()
 	})
 	t.Run("nonfinite-fallback", func(t *testing.T) {
-		specials := []float32{
-			float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-			math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00000), 701, -45,
-		}
 		rng := rand.New(rand.NewSource(5))
-		row := make([]float32, 13)
-		for _, s := range specials {
-			for at := range row {
-				for i := range row {
-					row[i] = float32(rng.NormFloat64() * 3)
+		for _, n := range []int{13, 64} {
+			row := make([]float32, n)
+			for _, s := range fallbackSpecials {
+				for at := range row {
+					for i := range row {
+						row[i] = float32(rng.NormFloat64() * 3)
+					}
+					row[at] = s
+					checkActRows(t, row)
 				}
-				row[at] = s
-				checkActRows(t, row)
 			}
 		}
 	})
@@ -549,8 +576,8 @@ func TestActivationRowsMatchScalar(t *testing.T) {
 }
 
 // BenchmarkActivationRows times one 256-wide row (an LSTM gate block at
-// hidden 64) through each row function; the scalar functions run where
-// the assembly does not.
+// hidden 64) through each row function on every path the host runs, the
+// scalar functions on "go".
 func BenchmarkActivationRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	src := make([]float32, 256)
@@ -558,12 +585,15 @@ func BenchmarkActivationRows(b *testing.B) {
 		src[i] = float32(rng.NormFloat64() * 2)
 	}
 	dst := make([]float32, len(src))
-	for _, a := range actRows {
-		b.Run(a.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a.row(dst, src)
-			}
-		})
+	for _, p := range append(vecPaths(b), kernelPath{name: "go"}) {
+		for _, a := range actRows {
+			b.Run(p.name+"/"+a.name, func(b *testing.B) {
+				b.ReportAllocs()
+				p.use(b)
+				for i := 0; i < b.N; i++ {
+					a.row(dst, src)
+				}
+			})
+		}
 	}
 }

@@ -25,7 +25,9 @@ func detectAVX2() bool {
 }
 
 // useAVX2FMA routes sigmoidRow and tanhRow through the assembly in
-// act_amd64.s: AVX2 as above, plus FMA (CPUID.1:ECX bit 12).
+// act_amd64.s: AVX2 as above, plus FMA (CPUID.1:ECX bit 12). With
+// useAVX512 as well they take its eight-lane routines, and so does each
+// row of LSTMCell's forward (lstmCellAVX512).
 var useAVX2FMA = useAVX2 && hasFMA()
 
 func hasFMA() bool {
@@ -35,7 +37,8 @@ func hasFMA() bool {
 }
 
 // useAVX512 routes the exact matmul kernels' four-row blocks through
-// mulAdd4AVX512: AVX2 as above, plus AVX-512F (CPUID.7.0:EBX bit 16) with
+// mulAdd4AVX512 and LSTMGates' adds through gatesAddAVX512: AVX2 as
+// above, plus AVX-512F (CPUID.7.0:EBX bit 16) with
 // the OS saving the opmask registers and all 512 bits of the 32 vector
 // registers (XCR0 bits 5, 6 and 7 besides XMM and YMM).
 var useAVX512 = useAVX2 && hasAVX512F()
@@ -80,6 +83,35 @@ func sigmoidAVX2(dst, src []float32) int
 //go:noescape
 func tanhAVX2(dst, src []float32) int
 
+// sigmoidAVX512 is sigmoidAVX2 on groups of eight: it returns the start of
+// the first group of eight that holds a NaN or an |x| over 700, or the
+// last multiple of 8 in len(src).
+//
+//go:noescape
+func sigmoidAVX512(dst, src []float32) int
+
+// tanhAVX512 is sigmoidAVX512 for tanh32, stopping at a NaN or an |x| over
+// 44.
+//
+//go:noescape
+func tanhAVX512(dst, src []float32) int
+
+// lstmCellAVX512 runs one row of LSTMCell's forward (see lstmCellRow),
+// given len(c) a multiple of 8, and reports whether every lane was in
+// sigmoidAVX512's and tanhAVX512's ranges, including each c for tanh(c).
+// When it was not, the row holds partial results and the caller
+// recomputes it. acts and gates hold 4·len(c) elements, tc, h and cprev
+// len(c).
+//
+//go:noescape
+func lstmCellAVX512(acts, c, tc, h, gates, cprev []float32) bool
+
+// gatesAddAVX512 sets o[c] = (o[c] + q[c]) + b[c] for every c of b. o and
+// q hold at least len(b) elements.
+//
+//go:noescape
+func gatesAddAVX512(o, q, b []float32)
+
 // adamAVX2 runs AdamUpdate's update for i below the last multiple of 8 in
 // len(w). len(g), len(m) and len(v) are at least len(w).
 //
@@ -108,6 +140,12 @@ func bceTermsAVX2(dst []float64, src []float32) int
 //
 //go:noescape
 func expAVX2(dst, src []float64)
+
+// expAVX512 is expAVX2 on groups of eight, on the macro sigmoidAVX512,
+// tanhAVX512 and lstmCellAVX512 are built on.
+//
+//go:noescape
+func expAVX512(dst, src []float64)
 
 // log1pAVX2 sets dst[i] = log1p64(src[i]) for i below the last multiple of
 // 4 in len(src), every src[i] in [2**-29, 1) with 1 + src[i] below

@@ -27,6 +27,18 @@ func tanhAVX2(dst, src []float32) int { panic("tensor: tanhAVX2 without AVX2") }
 
 func expAVX2(dst, src []float64) { panic("tensor: expAVX2 without AVX2") }
 
+func sigmoidAVX512(dst, src []float32) int { panic("tensor: sigmoidAVX512 without AVX-512") }
+
+func tanhAVX512(dst, src []float32) int { panic("tensor: tanhAVX512 without AVX-512") }
+
+func expAVX512(dst, src []float64) { panic("tensor: expAVX512 without AVX-512") }
+
+func lstmCellAVX512(acts, c, tc, h, gates, cprev []float32) bool {
+	panic("tensor: lstmCellAVX512 without AVX-512")
+}
+
+func gatesAddAVX512(o, q, b []float32) { panic("tensor: gatesAddAVX512 without AVX-512") }
+
 func adamAVX2(w, g, m, v []float32, k *AdamCoeffs) { panic("tensor: adamAVX2 without AVX2") }
 
 func lstmCellBackAVX2(gg, cpg, acts, tc, cprev, dh, dc []float32) {

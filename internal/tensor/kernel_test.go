@@ -167,10 +167,11 @@ func randSpecialMat(rng *rand.Rand, r, c int) *Mat {
 	return m
 }
 
-// kernelPath is one setting of the kernel dispatch variables.
+// kernelPath is one setting of the kernel dispatch variables: useAVX2,
+// useAVX512, and useAVX2FMA, which holds where avx2 and fma both do.
 type kernelPath struct {
-	name         string
-	avx2, avx512 bool
+	name              string
+	avx2, avx512, fma bool
 }
 
 // onVecPaths runs f once per vector path the host runs (vecPaths), as a
@@ -183,6 +184,22 @@ func onVecPaths(t *testing.T, f func(t *testing.T)) {
 		return
 	}
 	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			p.use(t)
+			f(t)
+		})
+	}
+}
+
+// onPaths runs f on every path the host runs: first on the one it
+// detected, the widest, directly under t, then as a subtest named after
+// each narrower one, the other vector paths (vecPaths) and "go", the Go
+// kernels and the scalar activations.
+func onPaths(t *testing.T, f func(t *testing.T)) {
+	paths := append(vecPaths(t), kernelPath{name: "go"})
+	t.Logf("detected path: %s", paths[0].name)
+	f(t)
+	for _, p := range paths[1:] {
 		t.Run(p.name, func(t *testing.T) {
 			p.use(t)
 			f(t)

@@ -42,13 +42,16 @@ func TestGradLSTMCell(t *testing.T) {
 
 // TestLSTMCellMatchesUnfused drives the fused op and the node-per-op oracle
 // on identical inputs and demands bit-identical forward values and input
-// gradients — the house rule the whole PR is built on. Hidden sizes from
-// 7 straddle the backward's 8-lane vector groups and scalar tail.
+// gradients, on every path the host runs. Hidden sizes from 7 straddle the
+// backward's 8-lane vector groups and scalar tail, and the forward's
+// AVX-512 rows, which take widths that are multiples of 8.
 func TestLSTMCellMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, hd := range []int{7, 8, 9, 24, 64} {
-		t.Run(fmt.Sprint("hd", hd), func(t *testing.T) { checkLSTMCellMatchesUnfused(t, rng, hd) })
-	}
+	onPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		for _, hd := range []int{7, 8, 9, 24, 64} {
+			t.Run(fmt.Sprint("hd", hd), func(t *testing.T) { checkLSTMCellMatchesUnfused(t, rng, hd) })
+		}
+	})
 }
 
 func checkLSTMCellMatchesUnfused(t *testing.T, rng *rand.Rand, hd int) {
@@ -148,8 +151,12 @@ func TestLSTMCellShapePanics(t *testing.T) {
 // parallelThreshold (128·64·256), with 4H straddling the 8- and 32-column
 // blocks. h is a Const as at the first timestep, or a node that needs a
 // gradient; every gradient starts pre-filled, as x's does when the other
-// LSTM has already added its share.
+// LSTM has already added its share. It runs on every path the host runs.
 func TestLSTMGatesMatchesChain(t *testing.T) {
+	onPaths(t, checkLSTMGatesMatchesChain)
+}
+
+func checkLSTMGatesMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, s := range []struct{ rows, in, hid, g int }{
 		{1, 3, 1, 4}, {5, 9, 9, 36}, {7, 2, 64, 256}, {128, 40, 9, 36}, {128, 64, 64, 256},

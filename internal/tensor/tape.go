@@ -489,6 +489,10 @@ func (t *Tape) LSTMGates(x, wx, h, wh, b *Node) *Node {
 	for r := 0; r < out.Rows; r++ {
 		orow := out.Row(r)[:len(brow)]
 		qrow := q.Row(r)[:len(brow)]
+		if useAVX512 {
+			gatesAddAVX512(orow, qrow, brow)
+			continue
+		}
 		for c, v := range brow {
 			s := orow[c] + qrow[c]
 			orow[c] = s + v
@@ -523,13 +527,13 @@ func (t *Tape) Mul(a, b *Node) *Node {
 		if a.requiresGrad {
 			g := a.ensureGrad()
 			for i, gv := range n.Grad.Data {
-				g.Data[i] += gv * b.Val.Data[i]
+				g.Data[i] += float32(gv * b.Val.Data[i])
 			}
 		}
 		if b.requiresGrad {
 			g := b.ensureGrad()
 			for i, gv := range n.Grad.Data {
-				g.Data[i] += gv * a.Val.Data[i]
+				g.Data[i] += float32(gv * a.Val.Data[i])
 			}
 		}
 	})
@@ -560,7 +564,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 		g := a.ensureGrad()
 		for i, gv := range n.Grad.Data {
 			y := n.Val.Data[i]
-			g.Data[i] += gv * y * (1 - y)
+			g.Data[i] += float32(gv * y * (1 - y))
 		}
 	})
 }
@@ -576,7 +580,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 		g := a.ensureGrad()
 		for i, gv := range n.Grad.Data {
 			y := n.Val.Data[i]
-			g.Data[i] += gv * (1 - y*y)
+			g.Data[i] += float32(gv * (1 - float32(y*y)))
 		}
 	})
 }
@@ -685,9 +689,8 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 //	c = f⊙cPrev + i⊙g
 //	h = o⊙tanh(c)
 //
-// row by row, one pass over the row each for the gate activations
-// (sigmoidRow/tanhRow), c, tanh(c) and h, and runs the entire backward in
-// one fused closure. It replaces the 4 SliceCols copies, 4 activation
+// row by row (lstmCellRow), and runs the entire backward in one fused
+// closure. It replaces the 4 SliceCols copies, 4 activation
 // nodes and 3 element-wise nodes the unfused formulation records per step;
 // every per-element float32 operation is evaluated in the same order as
 // that node chain, so forward values and gradients are bit-identical to it.
@@ -712,23 +715,7 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 	tc := t.getMat(batch, hd, false)
 	hVal := t.getMat(batch, hd, false)
 	for r := 0; r < batch; r++ {
-		grow := gates.Val.Row(r)
-		arow := acts.Row(r)
-		cprow := cPrev.Val.Row(r)
-		crow := cVal.Row(r)
-		tcrow := tc.Row(r)
-		hrow := hVal.Row(r)
-		sigmoidRow(arow[:2*hd], grow[:2*hd])
-		tanhRow(arow[2*hd:3*hd], grow[2*hd:3*hd])
-		sigmoidRow(arow[3*hd:], grow[3*hd:])
-		iv, fv, gv, ov := arow[:hd], arow[hd:2*hd], arow[2*hd:3*hd], arow[3*hd:]
-		for j := range crow {
-			crow[j] = fv[j]*cprow[j] + iv[j]*gv[j]
-		}
-		tanhRow(tcrow, crow)
-		for j := range hrow {
-			hrow[j] = ov[j] * tcrow[j]
-		}
+		lstmCellRow(acts.Row(r), cVal.Row(r), tc.Row(r), hVal.Row(r), gates.Val.Row(r), cPrev.Val.Row(r))
 	}
 	if !gates.requiresGrad && !cPrev.requiresGrad {
 		return t.Const(hVal), t.Const(cVal)
@@ -768,6 +755,36 @@ func (t *Tape) LSTMCell(gates, cPrev *Node) (h, c *Node) {
 	return h, cn
 }
 
+// lstmCellRow is one row of LSTMCell's forward: from the gate row gates
+// and cPrev's row cprev it sets the activated gates acts, c, tanh(c) and
+// h, over hd = len(c) columns, one pass over the row each for the gate
+// activations (sigmoidRow/tanhRow), c, tanh(c) and h. Where the host has
+// AVX-512F and FMA, lstmCellAVX512 computes a row whose width is a
+// multiple of 8 in one pass with the same roundings, unless a lane is
+// outside its activations' fast branches; then the row runs here.
+func lstmCellRow(acts, c, tc, h, gates, cprev []float32) {
+	hd := len(c)
+	if useAVX512 && useAVX2FMA && hd > 0 && hd&7 == 0 {
+		// The assembly checks no bounds, so check its last reads and
+		// writes here.
+		_, _, _, _, _ = acts[4*hd-1], gates[4*hd-1], tc[hd-1], h[hd-1], cprev[hd-1]
+		if lstmCellAVX512(acts, c, tc, h, gates, cprev) {
+			return
+		}
+	}
+	sigmoidRow(acts[:2*hd], gates[:2*hd])
+	tanhRow(acts[2*hd:3*hd], gates[2*hd:3*hd])
+	sigmoidRow(acts[3*hd:4*hd], gates[3*hd:4*hd])
+	iv, fv, gv, ov := acts[:hd], acts[hd:2*hd], acts[2*hd:3*hd], acts[3*hd:4*hd]
+	for j := range c {
+		c[j] = float32(fv[j]*cprev[j]) + float32(iv[j]*gv[j])
+	}
+	tanhRow(tc[:hd], c)
+	for j := range hd {
+		h[j] = ov[j] * tc[j]
+	}
+}
+
 // lstmCellBackRow is one row of LSTMCell's backward: it adds the row's
 // gradients into gg, the gates' gradient row, and cpg, cPrev's, either of
 // which may be nil, from the activated gates acts ([i, f, g, o] blocks of
@@ -802,18 +819,18 @@ func lstmCellBackScalar(gg, cpg, acts, tc, cprev, dh, dc []float32, j int) {
 		// → SliceCols).
 		oG := hG * tcv
 		tcG := hG * ov
-		cG := dc[j] + tcG*(1-tcv*tcv)
+		cG := dc[j] + float32(tcG*(1-float32(tcv*tcv)))
 		if cpg != nil {
-			cpg[j] += cG * fv
+			cpg[j] += float32(cG * fv)
 		}
 		if gg != nil {
 			iG := cG * gv
 			gG := cG * iv
 			fG := cG * cprev[j]
-			gg[j] += iG * iv * (1 - iv)
-			gg[hd+j] += fG * fv * (1 - fv)
-			gg[2*hd+j] += gG * (1 - gv*gv)
-			gg[3*hd+j] += oG * ov * (1 - ov)
+			gg[j] += float32(iG * iv * (1 - iv))
+			gg[hd+j] += float32(fG * fv * (1 - fv))
+			gg[2*hd+j] += float32(gG * (1 - float32(gv*gv)))
+			gg[3*hd+j] += float32(oG * ov * (1 - ov))
 		}
 	}
 }
@@ -835,7 +852,7 @@ func (t *Tape) DropoutMask(a *Node, mask *Mat) *Node {
 	return t.record(out, func(n *Node) {
 		g := a.ensureGrad()
 		for i, gv := range n.Grad.Data {
-			g.Data[i] += gv * mask.Data[i]
+			g.Data[i] += float32(gv * mask.Data[i])
 		}
 	})
 }

@@ -69,7 +69,7 @@ func Search(cfg Config) *trace.Trace {
 		for t := 0; t < nQueryTerms; t++ {
 			term := int(termPop.Uint64())
 			// Hash probe: 1-2 chained bucket loads.
-			bucket := (term * 2654435761) & (hashTbl.Len - 1)
+			bucket := int(int64(term) * 2654435761 & int64(hashTbl.Len-1))
 			rec.Load(h.hash, hashTbl.Addr(bucket))
 			if rng.Float64() < 0.3 {
 				rec.Load(h.hash, hashTbl.Addr((bucket+1)&(hashTbl.Len-1)))
@@ -150,12 +150,12 @@ func Ads(cfg Config) *trace.Trace {
 		nFeats := 12 + rng.Intn(8)
 		for f := 0; f < nFeats; f++ {
 			tbl := (user*31 + f*17) % nTables
-			slot := (user*131071 + f*8191) % tableSize
+			slot := int((int64(user)*131071 + int64(f)*8191) % int64(tableSize))
 			rec.Load(h.feat, tables[tbl].Addr(slot))
 			rec.Work(2)
 		}
 		// Candidate walk + model-weight loads.
-		start := (user * 2654435761) % nAds
+		start := int(int64(user) * 2654435761 % int64(nAds))
 		nCand := 8 + rng.Intn(8)
 		for k := 0; k < nCand; k++ {
 			ad := (start + k*3) % nAds

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"voyager/internal/trace"
@@ -180,5 +182,29 @@ func BenchmarkGeneratePageRank(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PageRank(cfg)
+	}
+}
+
+// TestGoogleTracesPinned pins the search and ads traces: an FNV-64a hash
+// over each access's "%x %x %x;" of PC, Addr and Inst, at seed 1 and
+// 24,000 accesses. Both generators hash with 64-bit products, so the
+// traces must not move when the code builds for a 32-bit int.
+func TestGoogleTracesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  Generator
+		want uint64
+	}{
+		{"search", Search, 0x53ded1fcde6b1d6e},
+		{"ads", Ads, 0xfad565d79f1e4163},
+	} {
+		tr := c.gen(Config{Seed: 1, Scale: 1, MaxAccesses: 24_000})
+		h := fnv.New64a()
+		for _, a := range tr.Accesses {
+			fmt.Fprintf(h, "%x %x %x;", a.PC, a.Addr, a.Inst)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: %d accesses hash to %#x, want %#x", c.name, tr.Len(), got, c.want)
+		}
 	}
 }

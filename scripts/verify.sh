@@ -14,17 +14,21 @@ go build ./...
 
 # The tensor kernels have an amd64 assembly path and a build-tagged
 # portable file; only a cross build compiles the latter on an amd64 host.
-echo "== go build (GOARCH=arm64)"
+# 386 also catches constants and products that overflow a 32-bit int.
+echo "== go build (GOARCH=arm64, GOARCH=386)"
 GOARCH=arm64 go build ./...
+GOARCH=386 go build ./...
 
 # gc on arm64 fuses x*y + z into one FMADD unless the product is converted
-# explicitly, which would move the bits of exp64/tanh64/log1p64, Adam's
-# update and the sampled head. Every fused instruction the compiler emits
-# for act.go must sit on a math.FMA line (log1p64 has none, so it must show
-# no fused instruction at all); internal/nn and internal/tensor/quant may
-# hold none. Later runs replay the -S listing from the build cache.
-echo "== no implicit multiply-add fusion in act.go, nn, tensor/quant (GOARCH=arm64 -S)"
-fused_lines=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1 |
+# explicitly, which would move the bits of exp64/tanh64/log1p64, the tape's
+# element-wise ops and LSTM cell, Adam's update and the sampled head. Every
+# fused instruction the compiler emits for act.go must sit on a math.FMA
+# line (log1p64 has none, so it must show no fused instruction at all);
+# tape.go, internal/nn and internal/tensor/quant may hold none. Later runs
+# replay the -S listing from the build cache.
+echo "== no implicit multiply-add fusion in act.go, tape.go, nn, tensor/quant (GOARCH=arm64 -S)"
+tensor_listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1)
+fused_lines=$(echo "$tensor_listing" |
   grep -oE 'act\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)[DS]' | cut -d: -f2 | cut -d')' -f1 | sort -un || true)
 if [ -z "$fused_lines" ]; then
   echo "act.go: no fused instruction found; the math.FMA steps of exp64 should show"
@@ -39,6 +43,13 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 echo "act.go: fused instructions only on math.FMA lines ($(echo $fused_lines | wc -w) lines)"
+tape_sites=$(echo "$tensor_listing" |
+  grep -oE 'tape\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)[DS]' | cut -d')' -f1 | sort -u || true)
+if [ -n "$tape_sites" ]; then
+  echo "tape.go: gc fused a multiply-add on arm64 (convert the product explicitly) at:" $tape_sites
+  exit 1
+fi
+echo "tape.go: no fused instruction"
 fused_sites=$(GOARCH=arm64 go build -gcflags=-S ./internal/nn/ ./internal/tensor/quant/ 2>&1 |
   grep -oE '[[:alnum:]_]+\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)[DS]' | cut -d')' -f1 | sort -u || true)
 if [ -n "$fused_sites" ]; then
@@ -50,12 +61,18 @@ echo "nn, tensor/quant: no fused instruction"
 # The exact matmul kernels, Adam's update and the LSTM cell's backward
 # (train_amd64.s) round each product and each sum on its own, as their Go
 # loops do, so their assembly must hold no fused multiply-add. This is the
-# only check of the AVX-512 file on a host without AVX-512F, where the
-# tests cannot run it. act_amd64.s is exempt: its fused steps are part of
-# exp64's contract.
+# only check of the AVX-512 files on a host without AVX-512F, where the
+# tests cannot run them. act_amd64.s may fuse only packed doubles: those
+# are exp64's fused steps, part of its contract, while its float32 work
+# (the LSTM cell's c and h) must stay one VMULPS or VADDPS per operation,
+# so a fused single-precision instruction there fails too.
 echo "== no fused multiply-add in the float32 assembly"
 if grep -nE 'VF(N?MADD|N?MSUB)' internal/tensor/avx2_amd64.s internal/tensor/avx512_amd64.s internal/tensor/train_amd64.s; then
   echo "float32 assembly: fused multiply-add found (each term must be VMULPS then VADDPS)"
+  exit 1
+fi
+if grep -nE 'VFN?M[A-Z0-9]*(PS|SS)' internal/tensor/act_amd64.s; then
+  echo "act_amd64.s: fused single-precision instruction found (only exp64's packed-double steps may fuse)"
   exit 1
 fi
 
@@ -117,11 +134,13 @@ done
 # between pairs, and fails only when at least 9 of the 10 ratios (change /
 # base) exceed its budget. Every gate logs its sorted ratios. The vector
 # kernels against the Go kernels at 256x256 (<= 0.5; amd64 with AVX2,
-# else skipped), a train step with metrics on and with the span tracer
+# else skipped), the LSTM cell's forward at 128x64 against the same call
+# with useAVX512 off (<= 0.72; AVX-512F and FMA, else skipped), a train
+# step with metrics on and with the span tracer
 # recording against one with neither (<= 1.03, <= 1.05), and the fast
 # tier's p99 with quality telemetry on against off (<= 1.05). -p 1 runs
 # one package at a time, so no gate shares the CPUs with another; ~12 s.
-echo "== paired gates (vector kernels, metrics, trace, quality overheads)"
+echo "== paired gates (vector kernels, LSTM cell, metrics, trace, quality overheads)"
 go test -p 1 -run '^$' -bench '^BenchmarkGate' -benchtime 1x ./internal/tensor/ ./internal/voyager/ ./internal/serve/
 
 echo "== allocation regression (tape arena steady state, metrics + tracing + fast-tier hot paths)"
@@ -133,15 +152,16 @@ go test -run 'TestFastPathAllocFree' ./internal/distill/
 
 # The portable path, run rather than only compiled: on 386 the scalar
 # activations and Go kernels take every call, with math.FMA in software.
-echo "== go test (GOARCH=386: tensor, nn)"
-GOARCH=386 go test ./internal/tensor/ ./internal/nn/
+# The workloads' pinned trace hashes must hold with a 32-bit int too.
+echo "== go test (GOARCH=386: tensor, nn, workloads)"
+GOARCH=386 go test ./internal/tensor/ ./internal/nn/ ./internal/workloads/
 
 # tensor owns its exp and log1p (act.go), so no value may move when
 # math.Exp takes its non-FMA amd64 path: the activation and loss-term
 # tests, the golden constants and the pinned candidate scores must hold
 # with GODEBUG turning FMA off for package math.
 echo "== go test (GODEBUG=cpu.fma=off: activations, loss terms, goldens, scores)"
-GODEBUG=cpu.fma=off go test -count=1 -run 'TestExp64|TestTanh64|TestExpAVX2|TestActivationRows|TestLog1p|TestBCETermRow' ./internal/tensor/
+GODEBUG=cpu.fma=off go test -count=1 -run 'TestExp64|TestTanh64|TestExpAVX|TestActivationRows|TestLog1p|TestBCETermRow' ./internal/tensor/
 GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenEquivalenceFixedSeed|TestSigmoid64PinnedBits' ./internal/voyager/
 
 # The loss-term assembly against bceTerm at every non-negative float32 bit
